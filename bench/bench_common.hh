@@ -45,10 +45,9 @@ banner(const char *what, const char *paper_ref)
  * the given prefix. Declare one at the top of main().
  *
  * GNNPERF_TRACE additionally records the merged execution trace
- * (obs/exec_trace.hh): GNNPERF_TRACE=FILE writes it to FILE at scope
- * exit; GNNPERF_TRACE=1 writes `<prefix>.trace.json` into
- * GNNPERF_CSV_DIR next to the stats artifacts (no-op when the dir is
- * unset).
+ * (obs/exec_trace.hh) and writes it at scope exit to the file
+ * traceOutputPath resolves: FILE itself, or for GNNPERF_TRACE=1
+ * `<prefix>.trace.json` in GNNPERF_CSV_DIR (no-op when that is unset).
  *
  * GNNPERF_HWPROF=1|sw turns on the hardware-counter profiler for the
  * bench (obs/hwprof.hh); its totals land in the stats snapshot as
@@ -61,12 +60,8 @@ class StatsScope
     {
         if (envInt("GNNPERF_STATS", 0) != 0)
             stats::setSamplingEnabled(true);
-        tracePath_ = envString("GNNPERF_TRACE", "");
-        if (tracePath_ == "1") {
-            const std::string dir = envString("GNNPERF_CSV_DIR", "");
-            tracePath_ =
-                dir.empty() ? "" : dir + "/" + prefix_ + ".trace.json";
-        }
+        tracePath_ =
+            traceOutputPath(envString("GNNPERF_TRACE", ""), prefix_);
         if (!tracePath_.empty())
             ExecTrace::instance().enable();
         hwprof::configure(envString("GNNPERF_HWPROF", ""));
@@ -92,7 +87,7 @@ class StatsScope
 /**
  * Machine-readable bench baseline: collect the run's headline series
  * and at scope exit write `BENCH_<name>.json` into GNNPERF_CSV_DIR
- * (when set) in the flat schema `gnnperf_diff` compares. Declare one
+ * (when set) in the flat schema `gnnperf diff` compares. Declare one
  * per bench main(), next to the StatsScope.
  */
 class Baseline

@@ -17,7 +17,7 @@
  * width's output is byte-identical to the single-thread run, and emits
  * the results as `threads.<kernel>.t<N>.{ms,speedup_x,match_t1}`
  * series into the BENCH baseline (GNNPERF_CSV_DIR →
- * BENCH_kernels_micro.json) so `gnnperf_diff` can gate the
+ * BENCH_kernels_micro.json) so `gnnperf diff` can gate the
  * deterministic match_t1 bits. Wall-clock ms/speedup values are
  * machine-dependent; gate them only with generous thresholds.
  */

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "common/logging.hh"
 #include "common/string_utils.hh"
 
 namespace gnnperf {
@@ -12,7 +13,10 @@ envInt(const char *name, int64_t fallback)
     const char *v = std::getenv(name);
     if (!v || !*v)
         return fallback;
-    return std::strtoll(v, nullptr, 10);
+    int64_t out = 0;
+    if (!parseInt(v, out))
+        gnnperf_fatal(name, "=", v, ": not an integer");
+    return out;
 }
 
 std::string

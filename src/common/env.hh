@@ -9,25 +9,23 @@
  *   GNNPERF_EPOCHS=N      — override epoch budget
  *   GNNPERF_SEEDS=N       — override number of seeds / repeats
  *   GNNPERF_FOLDS=N       — override number of CV folds
- *   GNNPERF_QUIET=1       — suppress inform() output (alias of
- *                           GNNPERF_LOG=warn)
  *   GNNPERF_LOG=debug|info|warn — minimum log level (common/logging)
  *   GNNPERF_LOG_TIME=1    — timestamp log lines
  *   GNNPERF_STATS=1       — enable stats sampling in the benches
  *                           (obs/stats.hh)
+ *   GNNPERF_CSV_DIR=DIR   — where the benches write table CSVs, stats
+ *                           artifacts and BENCH_<name>.json baselines
+ *                           (core/report.hh; created when missing)
  *   GNNPERF_THREADS=N     — host thread-pool width for every kernel
  *                           (parallel/thread_pool.hh; default hardware
- *                           concurrency, 1 = exact serial path;
- *                           --threads on run_experiment wins)
+ *                           concurrency, 1 = exact serial path)
  *   GNNPERF_TRACE=FILE|1  — record the merged execution trace
  *                           (obs/exec_trace.hh): FILE writes there;
  *                           1 writes <prefix>.trace.json into
- *                           GNNPERF_CSV_DIR (benches). run_experiment
- *                           honours it too; --trace-out wins when
- *                           both are set.
+ *                           GNNPERF_CSV_DIR, or nothing when that is
+ *                           unset (traceOutputPath).
  *   GNNPERF_ALLOCATOR=caching|direct — Cuda device allocator
- *                           (device/allocator.hh); --allocator on
- *                           run_experiment wins.
+ *                           (device/allocator.hh).
  *   GNNPERF_CHECKS=0|1    — runtime switch for the correctness layer
  *                           (common/checks.hh): write-set race
  *                           checker, allocator redzones, registry
@@ -38,14 +36,17 @@
  *                           (bit-identical reference); graph records
  *                           the iteration into an op graph, fuses
  *                           gather→elementwise→scatter chains, plans
- *                           allocations, then replays. --ir on
- *                           run_experiment wins.
+ *                           allocations, then replays.
  *   GNNPERF_HWPROF=1|sw|0 — hardware-counter profiling tier
  *                           (obs/hwprof.hh): 1 probes
  *                           perf_event_open and falls back to the
  *                           software (rusage) tier when denied; sw
  *                           forces the software tier; 0/off disables.
- *                           --hwprof on run_experiment wins.
+ *                           Any other value is fatal.
+ *
+ * `gnnperf run` checks GNNPERF_THREADS, _IR, _ALLOCATOR, _TRACE and
+ * _HWPROF in its option table as the fallbacks of its flags (the flag
+ * wins; a bad value exits 2 naming the variable).
  */
 
 #ifndef GNNPERF_COMMON_ENV_HH
@@ -55,7 +56,10 @@
 
 namespace gnnperf {
 
-/** Read an integer env var with a default. */
+/**
+ * Read an integer env var with a default (unset or empty). A value
+ * that is not a whole base-10 integer is fatal and names the variable.
+ */
 int64_t envInt(const char *name, int64_t fallback);
 
 /** Read a string env var with a default. */

@@ -63,7 +63,7 @@ bool parseJson(const std::string &text, JsonValue &out,
  * Serialize a value back to compact JSON (no whitespace). Numbers
  * print as integers when integral, shortest-round-trip otherwise;
  * object key order and duplicates are preserved, so
- * parse → serialize → parse is lossless. Used by gnnperf_trace to
+ * parse → serialize → parse is lossless. Used by `gnnperf trace` to
  * re-emit merged trace documents.
  */
 std::string jsonToString(const JsonValue &value);

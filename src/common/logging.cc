@@ -26,8 +26,6 @@ levelTag(LogLevel level)
 LogLevel
 initialLevel()
 {
-    if (envInt("GNNPERF_QUIET", 0) != 0)
-        return LogLevel::Warn;
     const std::string name = envString("GNNPERF_LOG", "info");
     if (iequals(name, "debug"))
         return LogLevel::Debug;

@@ -10,9 +10,8 @@
  *
  * The minimum emitted level defaults to Inform and can be set at
  * runtime (setLogLevel) or from the environment: GNNPERF_LOG=
- * debug|info|warn (GNNPERF_QUIET=1 is an alias for warn). Set
- * GNNPERF_LOG_TIME=1 (or setLogTimestamps) to prefix each line with
- * seconds since process start.
+ * debug|info|warn. Set GNNPERF_LOG_TIME=1 (or setLogTimestamps) to
+ * prefix each line with seconds since process start.
  */
 
 #ifndef GNNPERF_COMMON_LOGGING_HH

@@ -1,6 +1,8 @@
 #include "common/string_utils.hh"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 
@@ -125,6 +127,30 @@ iequals(const std::string &a, const std::string &b)
             return false;
         }
     }
+    return true;
+}
+
+bool
+parseInt(const std::string &s, int64_t &out)
+{
+    int64_t v = 0;
+    const char *end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+    if (ec != std::errc() || ptr != end)
+        return false;
+    out = v;
+    return true;
+}
+
+bool
+parseReal(const std::string &s, double &out)
+{
+    double v = 0.0;
+    const char *end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+    if (ec != std::errc() || ptr != end || !std::isfinite(v))
+        return false;
+    out = v;
     return true;
 }
 

@@ -6,6 +6,7 @@
 #ifndef GNNPERF_COMMON_STRING_UTILS_HH
 #define GNNPERF_COMMON_STRING_UTILS_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,15 @@ std::string jsonEscape(const std::string &s);
  * newline are wrapped in quotes with embedded quotes doubled.
  */
 std::string csvEscape(const std::string &s);
+
+/**
+ * Strict number parsing for flags and env knobs: the whole string must
+ * be one base-10 integer (or one finite decimal number) that fits the
+ * type — no blanks, no trailing text, no overflow. Returns false and
+ * leaves `out` untouched otherwise.
+ */
+bool parseInt(const std::string &s, int64_t &out);
+bool parseReal(const std::string &s, double &out);
 
 } // namespace gnnperf
 

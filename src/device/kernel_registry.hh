@@ -4,7 +4,7 @@
  *
  * Trace records are priced by name-agnostic rooflines, but the
  * *analysis* layers key on kernel names: the roofline report buckets
- * by name, gnnperf_diff matches baselines by name, and the docs
+ * by name, `gnnperf diff` matches baselines by name, and the docs
  * enumerate them. A typo'd or unregistered name silently falls out of
  * every report. The registry makes the name set a checked, single
  * source of truth:

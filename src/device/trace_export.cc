@@ -1,7 +1,6 @@
 #include "device/trace_export.hh"
 
 #include <algorithm>
-#include <map>
 
 #include "common/string_utils.hh"
 
@@ -64,73 +63,6 @@ appendChromeTraceEvents(std::string &out, const Trace &trace,
         }
     }
     return std::max(host, gpu_free) * 1e6;
-}
-
-std::string
-traceToChromeJson(const Trace &trace, const CostModel &model,
-                  double dispatch_overhead)
-{
-    std::string out = "[\n";
-    out += chromeProcessName(1, "gnnperf simulated") + ",\n";
-    out += chromeThreadName(1, 1, "host") + ",\n";
-    out += chromeThreadName(1, 2, "gpu stream");
-    appendChromeTraceEvents(out, trace, model, dispatch_overhead, 1);
-    out += "\n]\n";
-    return out;
-}
-
-std::string
-timelineToCsv(const TimelineResult &result)
-{
-    std::string out = "phase,elapsed_s,kernels,gpu_busy_s\n";
-    for (int p = 0; p < kNumPhases; ++p) {
-        const auto phase = static_cast<Phase>(p);
-        out += strprintf("%s,%.9f,%zu,%.9f\n", phaseName(phase),
-                         result.phaseElapsed[phase],
-                         result.phaseKernels[p],
-                         result.phaseGpuBusy[phase]);
-    }
-    out += strprintf("total,%.9f,%zu,%.9f\n", result.elapsed,
-                     result.kernelLaunches, result.gpuBusy);
-    return out;
-}
-
-std::vector<KernelSummaryRow>
-summarizeKernels(const Trace &trace, const CostModel &model)
-{
-    std::map<std::string, KernelSummaryRow> by_name;
-    for (const auto &entry : trace.entries()) {
-        if (!entry.isKernel)
-            continue;
-        const auto &k = entry.kernel;
-        KernelSummaryRow &row = by_name[k.name];
-        row.name = k.name;
-        ++row.count;
-        row.flops += k.flops;
-        row.bytes += k.bytes;
-        row.gpuSeconds += model.kernelTime(k);
-    }
-    std::vector<KernelSummaryRow> rows;
-    rows.reserve(by_name.size());
-    for (auto &[name, row] : by_name)
-        rows.push_back(row);
-    std::sort(rows.begin(), rows.end(),
-              [](const KernelSummaryRow &a, const KernelSummaryRow &b) {
-                  return a.gpuSeconds > b.gpuSeconds;
-              });
-    return rows;
-}
-
-std::string
-kernelSummaryToCsv(const std::vector<KernelSummaryRow> &rows)
-{
-    std::string out = "kernel,count,flops,bytes,gpu_seconds\n";
-    for (const auto &row : rows) {
-        out += strprintf("%s,%zu,%.0f,%.0f,%.9f\n",
-                         csvEscape(row.name).c_str(), row.count,
-                         row.flops, row.bytes, row.gpuSeconds);
-    }
-    return out;
 }
 
 } // namespace gnnperf

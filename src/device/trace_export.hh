@@ -1,7 +1,7 @@
 /**
  * @file
  * Trace export: Chrome trace-event JSON (chrome://tracing /
- * Perfetto) and CSV summaries.
+ * Perfetto) for simulated traces.
  *
  * The paper inspects executions with nvprof/Nsight timelines; this is
  * the offline equivalent — replaying a recorded trace against the
@@ -14,22 +14,11 @@
 #define GNNPERF_DEVICE_TRACE_EXPORT_HH
 
 #include <string>
-#include <vector>
 
 #include "device/cost_model.hh"
-#include "device/timeline.hh"
 #include "device/trace.hh"
 
 namespace gnnperf {
-
-/**
- * Render a trace as Chrome trace-event JSON. Two tracks: tid 1 =
- * host (dispatch + host ops), tid 2 = GPU stream (kernel execution),
- * with the same scheduling the Timeline computes. Timestamps are in
- * microseconds as the format requires.
- */
-std::string traceToChromeJson(const Trace &trace, const CostModel &model,
-                              double dispatch_overhead);
 
 /** `{"name":"process_name",...}` metadata event (no trailing comma). */
 std::string chromeProcessName(int pid, const std::string &name);
@@ -43,40 +32,14 @@ std::string chromeThreadName(int pid, int tid, const std::string &name);
  * starting at `start_ts_us` on the simulated clock; returns the µs
  * timestamp where the appended slices end, so successive epochs can
  * be laid out back to back. Every emitted event is preceded by ",\n",
- * so the caller must have written at least one event already. Used by
- * both traceToChromeJson and the merged execution trace
- * (obs/exec_trace.hh).
+ * so the caller must have written at least one event already. The
+ * merged execution trace (obs/exec_trace.hh) lays every simulated
+ * epoch out through this.
  */
 double appendChromeTraceEvents(std::string &out, const Trace &trace,
                                const CostModel &model,
                                double dispatch_overhead, int pid,
                                double start_ts_us = 0.0);
-
-/**
- * CSV summary of a replayed timeline: one row per phase with elapsed
- * seconds, kernel count and GPU-busy seconds.
- */
-std::string timelineToCsv(const TimelineResult &result);
-
-/**
- * Per-kernel-name aggregation of a trace: count, total FLOPs, total
- * bytes, total modelled GPU time — the nvprof "GPU summary" view.
- */
-struct KernelSummaryRow
-{
-    std::string name;
-    std::size_t count = 0;
-    double flops = 0.0;
-    double bytes = 0.0;
-    double gpuSeconds = 0.0;
-};
-
-std::vector<KernelSummaryRow> summarizeKernels(const Trace &trace,
-                                               const CostModel &model);
-
-/** Render a kernel summary as CSV (name,count,flops,bytes,seconds). */
-std::string kernelSummaryToCsv(
-    const std::vector<KernelSummaryRow> &rows);
 
 } // namespace gnnperf
 

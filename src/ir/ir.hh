@@ -45,7 +45,7 @@
 namespace gnnperf {
 namespace ir {
 
-/** Dispatch path selector (GNNPERF_IR; --ir on run_experiment wins). */
+/** Dispatch path selector (GNNPERF_IR; --ir on `gnnperf run` wins). */
 enum class IrMode
 {
     Eager,

@@ -73,9 +73,9 @@ flattenInto(const JsonValue &v, const std::string &prefix,
     }
 }
 
+template <typename Patterns>
 bool
-matchesAny(const std::string &name,
-           const std::vector<std::string> &patterns)
+matchesAny(const std::string &name, const Patterns &patterns)
 {
     for (const auto &p : patterns) {
         if (name.find(p) != std::string::npos)
@@ -123,16 +123,16 @@ compareRuns(const JsonValue &baseline, const JsonValue &current,
         s.after = it->second;
         ++diff.compared;
         if (std::max(std::fabs(s.before), std::fabs(s.after)) <
-            opts.noiseFloor) {
+            kNoiseFloor) {
             s.verdict = SeriesVerdict::Unchanged;
             diff.series.push_back(std::move(s));
             continue;
         }
         const double denom =
-            std::max(std::fabs(s.before), opts.noiseFloor);
+            std::max(std::fabs(s.before), kNoiseFloor);
         s.relChange = (s.after - s.before) / denom;
         const bool higher_better =
-            matchesAny(name, opts.higherIsBetter);
+            matchesAny(name, kHigherIsBetter);
         const double harmful =
             higher_better ? -s.relChange : s.relChange;
         if (harmful > opts.relThreshold)

@@ -14,7 +14,7 @@
  * (times, bytes, launches); substring patterns mark the
  * higher-is-better exceptions (accuracy, utilization).
  *
- * The gnnperf_diff CLI (tools/) wraps this as the CI perf gate.
+ * `gnnperf diff` (tools/cmd_diff.cpp) wraps this as the CI perf gate.
  */
 
 #ifndef GNNPERF_OBS_DIFF_HH
@@ -37,21 +37,22 @@ struct DiffOptions
     /** Relative change beyond which a series counts as a move. */
     double relThreshold = 0.20;
 
-    /** Series with |value| below this in both runs are skipped. */
-    double noiseFloor = 1e-12;
-
     /** Substring filters: when non-empty, a series must match one. */
     std::vector<std::string> only;
 
     /** Substring filters: matching series are skipped. */
     std::vector<std::string> ignore;
-
-    /**
-     * Substring patterns for series where an *increase* is an
-     * improvement (default: accuracy and utilization metrics).
-     */
-    std::vector<std::string> higherIsBetter = {"acc", "utilization"};
 };
+
+/** Series with |value| below this in both runs never move. */
+constexpr double kNoiseFloor = 1e-12;
+
+/**
+ * Series whose name contains one of these improve on an *increase*
+ * (accuracy and utilization); every other series improves on a
+ * decrease.
+ */
+inline constexpr const char *kHigherIsBetter[] = {"acc", "utilization"};
 
 /** What happened to one series between the two runs. */
 enum class SeriesVerdict {

@@ -3,7 +3,9 @@
 #include <algorithm>
 
 #include "common/buildinfo.hh"
+#include "common/env.hh"
 #include "common/fs.hh"
+#include "common/logging.hh"
 #include "common/string_utils.hh"
 #include "common/table.hh"
 #include "device/cost_model.hh"
@@ -363,6 +365,20 @@ ExecTrace::reset()
     label_.clear();
     SpanTracer::instance().reset();
     MemTracer::instance().reset();
+}
+
+std::string
+traceOutputPath(const std::string &value, const std::string &prefix)
+{
+    if (value != "1")
+        return value;
+    const std::string dir = envString("GNNPERF_CSV_DIR", "");
+    if (dir.empty())
+        return "";
+    if (!ensureDir(dir))
+        gnnperf_fatal("GNNPERF_CSV_DIR=", dir,
+                      ": not a directory and could not be created");
+    return dir + "/" + prefix + ".trace.json";
 }
 
 } // namespace gnnperf

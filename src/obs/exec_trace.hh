@@ -22,7 +22,7 @@
  * steady-clock epoch of SpanTracer::nowUs(). The file is the *object*
  * Chrome trace format — `{"traceEvents":[...]}` with extra top-level
  * keys `meta`, `stats_peaks` and `peak_attribution` (the "who owns
- * the peak" report) that tools/gnnperf_trace reads back.
+ * the peak" report) that `gnnperf trace` reads back.
  */
 
 #ifndef GNNPERF_OBS_EXEC_TRACE_HH
@@ -101,6 +101,16 @@ class ExecTrace
     std::size_t simEpochs_ = 0;
     std::string label_;        ///< backend label of the last capture
 };
+
+/**
+ * Resolve a GNNPERF_TRACE / `gnnperf run --trace-out` value to the
+ * file the merged trace is written to: "" means no trace; "1" means
+ * `<prefix>.trace.json` inside GNNPERF_CSV_DIR (created when
+ * missing), or no trace when that is unset; anything else is the
+ * file itself.
+ */
+std::string traceOutputPath(const std::string &value,
+                            const std::string &prefix);
 
 } // namespace gnnperf
 

@@ -20,6 +20,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <mutex>
 
@@ -333,6 +334,12 @@ configure(const std::string &mode)
     std::string m = mode;
     for (char &c : m)
         c = static_cast<char>(std::tolower(c));
+    if (!m.empty() &&
+        std::find(std::begin(kModes), std::end(kModes), m) ==
+            std::end(kModes)) {
+        gnnperf_fatal("hwprof: unknown mode '", mode,
+                      "' (expected 0|off|1|sw|software)");
+    }
     if (m.empty() || m == "0" || m == "off") {
         setEnabled(false);
         return;

@@ -145,9 +145,16 @@ void setEnabled(bool on);
 void forceSoftwareTier();
 
 /**
- * Apply a --hwprof / GNNPERF_HWPROF mode string: "" / "0" / "off"
- * lowers the gate, "sw"/"software" forces the software tier and
- * enables, anything else ("1", "hw", ...) enables with auto tiers.
+ * The --hwprof / GNNPERF_HWPROF modes configure() accepts, matched
+ * case-insensitively: "0"/"off" lower the gate, "1" enables with auto
+ * tiers, "sw"/"software" force the software tier and enable.
+ */
+inline constexpr const char *kModes[] = {"0", "off", "1", "sw",
+                                         "software"};
+
+/**
+ * Apply a mode string from kModes; "" lowers the gate too. Any other
+ * mode is fatal — it never turns the profiler on.
  */
 void configure(const std::string &mode);
 

@@ -433,7 +433,7 @@ rooflineReportToJson(const RooflineReport &r)
         num(r.achievedFlopsFraction()).c_str(),
         num(r.achievedBandwidthFraction()).c_str());
     if (r.hwprofTier != hwprof::Tier::Off) {
-        // Thresholds ride along so gnnperf_prof check re-derives the
+        // Thresholds ride along so `gnnperf prof check` re-derives the
         // measured_bound/agreement verdicts from the file itself.
         out += strprintf(
             "  \"hwprof\": {\"tier\": \"%s\", \"reason\": \"%s\",\n"

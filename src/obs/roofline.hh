@@ -102,7 +102,7 @@ struct MeasuredGroup
 
 /**
  * Measured-classification thresholds, mirrored into the roofline
- * JSON so `gnnperf_prof check` re-derives verdicts from the file
+ * JSON so `gnnperf prof check` re-derives verdicts from the file
  * instead of trusting a possibly-drifted constant.
  */
 constexpr double kMeasuredBandwidthMissRate = 0.30;

@@ -36,7 +36,7 @@
  * Chrome trace (obs/exec_trace.hh).
  *
  * Thread count: `GNNPERF_THREADS` (env) else hardware_concurrency;
- * `--threads=N` on run_experiment overrides per run; ThreadScope
+ * `--threads=N` on `gnnperf run` overrides per run; ThreadScope
  * overrides per scope (tests, benches).
  *
  * Checked builds (common/checks.hh): every pooled launch additionally

@@ -210,6 +210,45 @@ TEST(Env, IntFallbackAndParse)
     ::unsetenv("GNNPERF_TEST_KNOB");
 }
 
+TEST(EnvDeathTest, MalformedIntIsFatalAndNamesTheVariable)
+{
+    // A knob that does not parse must stop the run, not read as 0.
+    ::setenv("GNNPERF_TEST_KNOB", "abc", 1);
+    EXPECT_DEATH(envInt("GNNPERF_TEST_KNOB", 5),
+                 "GNNPERF_TEST_KNOB=abc: not an integer");
+    ::setenv("GNNPERF_TEST_KNOB", "12x", 1);
+    EXPECT_DEATH(envInt("GNNPERF_TEST_KNOB", 5), "GNNPERF_TEST_KNOB");
+    ::unsetenv("GNNPERF_TEST_KNOB");
+}
+
+TEST(StringUtils, CsvEscapeFollowsRfc4180)
+{
+    // Plain fields pass through; a comma, quote or newline quotes the
+    // field and doubles embedded quotes.
+    EXPECT_EQ(csvEscape("sgemm"), "sgemm");
+    EXPECT_EQ(csvEscape("kernel,with\"comma"), "\"kernel,with\"\"comma\"");
+    EXPECT_EQ(csvEscape("two\nlines"), "\"two\nlines\"");
+}
+
+TEST(StringUtils, StrictNumberParsing)
+{
+    int64_t i = 7;
+    EXPECT_TRUE(parseInt("-5", i));
+    EXPECT_EQ(i, -5);
+    for (const char *bad : {"", "abc", "3 ", " 3", "3.0", "+3",
+                            "99999999999999999999"}) {
+        EXPECT_FALSE(parseInt(bad, i)) << bad;
+        EXPECT_EQ(i, -5) << bad;
+    }
+    double d = 0.0;
+    EXPECT_TRUE(parseReal("0.25", d));
+    EXPECT_DOUBLE_EQ(d, 0.25);
+    EXPECT_TRUE(parseReal("1e-3", d));
+    EXPECT_DOUBLE_EQ(d, 1e-3);
+    for (const char *bad : {"", "x", "0.2x", "inf", "nan", "1e999"})
+        EXPECT_FALSE(parseReal(bad, d)) << bad;
+}
+
 TEST(Env, ScaleKnob)
 {
     ::unsetenv("GNNPERF_SCALE");

@@ -123,11 +123,9 @@ TEST(CompareRuns, NoiseFloorSilencesTinySeries)
 {
     JsonValue a = parse(R"({"tiny": 1e-15})");
     JsonValue b = parse(R"({"tiny": 5e-15})");
-    diff::DiffOptions opts;
-    opts.noiseFloor = 1e-9;
-    diff::RunDiff d = diff::compareRuns(a, b, opts);
-    // A 5x move entirely below the noise floor is still aligned but
-    // never regresses the gate.
+    diff::RunDiff d = diff::compareRuns(a, b);
+    // A 5x move entirely below the noise floor (diff::kNoiseFloor) is
+    // still aligned but never regresses the gate.
     EXPECT_EQ(d.compared, 1u);
     ASSERT_NE(findSeries(d, "tiny"), nullptr);
     EXPECT_EQ(findSeries(d, "tiny")->verdict,

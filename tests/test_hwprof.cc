@@ -85,6 +85,15 @@ TEST(HwProf, ConfigureModes)
     EXPECT_FALSE(hwprof::enabled());
 }
 
+TEST(HwProfDeathTest, ConfigureRejectsUnknownMode)
+{
+    // An unknown mode used to switch the profiler on; now it is fatal
+    // and names the mode.
+    EXPECT_DEATH(hwprof::configure("bogus"),
+                 "hwprof: unknown mode 'bogus'");
+    EXPECT_DEATH(hwprof::configure("hw"), "unknown mode 'hw'");
+}
+
 TEST(HwProf, ForcedSoftwareTierMonotonicCounters)
 {
     // The forced-unavailable path: no perf_event_open attempt at all,

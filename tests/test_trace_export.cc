@@ -1,12 +1,13 @@
 /**
  * @file
- * Trace export tests: Chrome JSON validity/shape, CSV contents,
- * kernel summaries.
+ * Trace export tests: Chrome JSON validity/shape of the simulated
+ * track (appendChromeTraceEvents) and of the merged execution trace.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <set>
 
@@ -34,13 +35,28 @@ sampleTrace()
     return trace;
 }
 
+/**
+ * The simulated track of a trace as a standalone Chrome JSON array:
+ * three metadata events, then the slices appendChromeTraceEvents
+ * lays out under pid 1 — the same fragments ExecTrace concatenates.
+ */
+std::string
+chromeJson(const Trace &trace)
+{
+    std::string json = "[\n";
+    json += chromeProcessName(1, "gnnperf simulated") + ",\n";
+    json += chromeThreadName(1, 1, "host") + ",\n";
+    json += chromeThreadName(1, 2, "gpu stream");
+    appendChromeTraceEvents(json, trace, CostModel::defaultModel(), 30e-6,
+                            1);
+    return json + "\n]\n";
+}
+
 } // namespace
 
 TEST(ChromeTrace, BalancedBracketsAndTracks)
 {
-    std::string json = traceToChromeJson(sampleTrace(),
-                                         CostModel::defaultModel(),
-                                         30e-6);
+    const std::string json = chromeJson(sampleTrace());
     EXPECT_EQ(json.front(), '[');
     EXPECT_EQ(json[json.size() - 2], ']');
     int braces = 0;
@@ -60,9 +76,7 @@ TEST(ChromeTrace, BalancedBracketsAndTracks)
 
 TEST(ChromeTrace, EventCountMatchesTrace)
 {
-    std::string json = traceToChromeJson(sampleTrace(),
-                                         CostModel::defaultModel(),
-                                         30e-6);
+    const std::string json = chromeJson(sampleTrace());
     // Per kernel: launch slice + kernel slice; per host op: one
     // slice; plus 3 metadata events.
     std::size_t events = 0;
@@ -75,9 +89,7 @@ TEST(ChromeTrace, EventCountMatchesTrace)
 
 TEST(ChromeTrace, TimestampsMonotoneOnHostTrack)
 {
-    std::string json = traceToChromeJson(sampleTrace(),
-                                         CostModel::defaultModel(),
-                                         30e-6);
+    const std::string json = chromeJson(sampleTrace());
     double last_ts = -1.0;
     for (std::size_t pos = 0;
          (pos = json.find("\"tid\":1,\"ts\":", pos)) !=
@@ -89,63 +101,13 @@ TEST(ChromeTrace, TimestampsMonotoneOnHostTrack)
     EXPECT_GT(last_ts, 0.0);
 }
 
-TEST(TimelineCsv, ContainsAllPhasesAndTotal)
-{
-    TimelineResult t = Timeline::replay(sampleTrace(),
-                                        CostModel::defaultModel(),
-                                        30e-6);
-    std::string csv = timelineToCsv(t);
-    EXPECT_NE(csv.find("data_loading,"), std::string::npos);
-    EXPECT_NE(csv.find("forward,"), std::string::npos);
-    EXPECT_NE(csv.find("update,"), std::string::npos);
-    EXPECT_NE(csv.find("total,"), std::string::npos);
-    // Header + 6 phases + total = 8 lines.
-    EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 8);
-}
-
-TEST(KernelSummary, AggregatesByName)
-{
-    auto rows = summarizeKernels(sampleTrace(),
-                                 CostModel::defaultModel());
-    ASSERT_EQ(rows.size(), 3u);
-    const KernelSummaryRow *sgemm = nullptr;
-    for (const auto &row : rows)
-        if (row.name == "sgemm")
-            sgemm = &row;
-    ASSERT_NE(sgemm, nullptr);
-    EXPECT_EQ(sgemm->count, 2u);
-    EXPECT_DOUBLE_EQ(sgemm->flops, 6e6);
-    EXPECT_DOUBLE_EQ(sgemm->bytes, 3e5);
-    EXPECT_GT(sgemm->gpuSeconds, 0.0);
-}
-
-TEST(KernelSummary, SortedByGpuTimeDescending)
-{
-    auto rows = summarizeKernels(sampleTrace(),
-                                 CostModel::defaultModel());
-    for (std::size_t i = 1; i < rows.size(); ++i)
-        EXPECT_GE(rows[i - 1].gpuSeconds, rows[i].gpuSeconds);
-}
-
-TEST(KernelSummary, CsvRoundTrip)
-{
-    auto rows = summarizeKernels(sampleTrace(),
-                                 CostModel::defaultModel());
-    std::string csv = kernelSummaryToCsv(rows);
-    EXPECT_NE(csv.find("kernel,count,flops,bytes,gpu_seconds"),
-              std::string::npos);
-    EXPECT_NE(csv.find("sgemm,2,"), std::string::npos);
-}
-
 TEST(ChromeTrace, EscapesSpecialCharactersInNames)
 {
     Trace trace;
     trace.addKernel({"odd\"name\\kernel", 1e3, 1e3, Phase::Forward, 0});
     trace.addHost({"host\nop", HostOpKind::MetaBuild, 1.0, 1.0,
                    Phase::Other, -1});
-    std::string json = traceToChromeJson(trace,
-                                         CostModel::defaultModel(),
-                                         30e-6);
+    const std::string json = chromeJson(trace);
     // Raw quotes/backslashes/newlines never survive into JSON strings.
     EXPECT_NE(json.find("odd\\\"name\\\\kernel"), std::string::npos);
     EXPECT_NE(json.find("launch odd\\\"name\\\\kernel"),
@@ -162,17 +124,6 @@ TEST(ChromeTrace, EscapesSpecialCharactersInNames)
         ASSERT_GE(braces, 0);
     }
     EXPECT_EQ(braces, 0);
-}
-
-TEST(KernelSummary, CsvEscapesNames)
-{
-    Trace trace;
-    trace.addKernel({"kernel,with\"comma", 1e3, 1e3, Phase::Forward, 0});
-    auto rows = summarizeKernels(trace, CostModel::defaultModel());
-    std::string csv = kernelSummaryToCsv(rows);
-    // RFC 4180: field quoted, embedded quote doubled.
-    EXPECT_NE(csv.find("\"kernel,with\"\"comma\",1,"),
-              std::string::npos);
 }
 
 TEST(WriteFile, RoundTrip)
@@ -195,8 +146,7 @@ TEST(WriteFileDeathTest, FatalOnUnwritablePath)
 
 TEST(ChromeTrace, ParsesWithCommonJson)
 {
-    const std::string json = traceToChromeJson(
-        sampleTrace(), CostModel::defaultModel(), 30e-6);
+    const std::string json = chromeJson(sampleTrace());
     JsonValue doc;
     std::string error;
     ASSERT_TRUE(parseJson(json, doc, &error)) << error;
@@ -281,6 +231,22 @@ TEST(ExecTraceJson, SimulatedEpochsLayOutBackToBack)
         collision = collision || !seen.insert(key).second;
     }
     EXPECT_FALSE(collision);
+}
+
+TEST(ExecTraceJson, OutputPathResolvesFileOneAndEmpty)
+{
+    const std::string dir = ::testing::TempDir() + "gnnperf_csv_dir";
+    ::unsetenv("GNNPERF_CSV_DIR");
+    EXPECT_EQ(traceOutputPath("", "bench"), "");
+    EXPECT_EQ(traceOutputPath("out.json", "bench"), "out.json");
+    // "1" is a switch, never a file name: without a CSV dir it means
+    // no trace at all.
+    EXPECT_EQ(traceOutputPath("1", "bench"), "");
+    ::setenv("GNNPERF_CSV_DIR", dir.c_str(), 1);
+    EXPECT_EQ(traceOutputPath("1", "bench"), dir + "/bench.trace.json");
+    EXPECT_TRUE(std::filesystem::is_directory(dir));
+    EXPECT_EQ(traceOutputPath("out.json", "bench"), "out.json");
+    ::unsetenv("GNNPERF_CSV_DIR");
 }
 
 TEST(EnumNames, PhaseNamesExhaustive)

@@ -1,27 +1,23 @@
 /**
  * @file
- * gnnperf_prof — inspect and self-check the measured-vs-modeled
+ * `gnnperf prof` — inspect and self-check the measured-vs-modeled
  * hardware-counter reconciliation in roofline suite JSONs.
  *
- * Operates on the suite documents written by `run_experiment
+ * Operates on the suite documents written by `gnnperf run
  * --roofline-out` (obs/roofline.hh): `{"version":1, "meta":...,
  * "reports":{label: report}}`. A bare single-report document is also
  * accepted. Reports carry an optional top-level `hwprof` block (tier,
  * demotion reason, classification thresholds) and per-group `hwprof`
  * counter objects when the run was profiled with --hwprof.
  *
- * Usage:
- *   gnnperf_prof summary FILE   print, per report, the counter tier
- *                               and a per-kernel reconciliation table
- *                               (modeled bound vs measured IPC,
- *                               miss rate, measured bound, verdict)
- *   gnnperf_prof check FILE     verify the reconciliation contract:
- *                               the tier is a known name, derived
- *                               ratios (ipc, miss_rate) match their
- *                               raw counters, miss_rate is in [0,1],
- *                               and measured_bound / agreement are
- *                               exactly what the file's own emitted
- *                               thresholds re-derive
+ *   summary FILE   print, per report, the counter tier and a
+ *                  per-kernel reconciliation table (modeled bound vs
+ *                  measured IPC, miss rate, measured bound, verdict)
+ *   check FILE     verify the reconciliation contract: the tier is a
+ *                  known name, derived ratios (ipc, miss_rate) match
+ *                  their raw counters, miss_rate is in [0,1], and
+ *                  measured_bound / agreement are exactly what the
+ *                  file's own emitted thresholds re-derive
  *
  * A file with no hwprof data is not an error — both modes report that
  * and exit 0, so gates can run unconditionally.
@@ -32,44 +28,19 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/buildinfo.hh"
-#include "common/fs.hh"
 #include "common/json.hh"
 #include "common/string_utils.hh"
 
-using namespace gnnperf;
+#include "gnnperf.hh"
+
+namespace gnnperf {
+namespace cli {
 
 namespace {
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(stderr, "usage: %s summary FILE | check FILE\n",
-                 argv0);
-    return 2;
-}
-
-bool
-loadJson(const char *path, JsonValue &out)
-{
-    std::string text;
-    if (!readFile(path, text)) {
-        std::fprintf(stderr, "gnnperf_prof: cannot read %s\n", path);
-        return false;
-    }
-    std::string error;
-    if (!parseJson(text, out, &error)) {
-        std::fprintf(stderr, "gnnperf_prof: %s: %s\n", path,
-                     error.c_str());
-        return false;
-    }
-    return true;
-}
 
 /**
  * The (label, report) pairs of a document: the `reports` map of a
@@ -97,13 +68,6 @@ stringAt(const JsonValue &obj, const char *key, const char *fallback)
     return v != nullptr && v->isString() ? v->str : fallback;
 }
 
-double
-numberAt(const JsonValue &obj, const char *key)
-{
-    const JsonValue *v = obj.find(key);
-    return v != nullptr ? v->asNumber() : 0.0;
-}
-
 /** The group's measured-counter block, or nullptr when unprofiled. */
 const JsonValue *
 measuredBlock(const JsonValue &group)
@@ -121,13 +85,13 @@ std::string
 deriveMeasuredBound(const JsonValue &m, double bw_miss_rate,
                     double dispatch_instr_per_window)
 {
-    const double windows = numberAt(m, "windows");
-    const double instructions = numberAt(m, "instructions");
+    const double windows = m.at("windows").asNumber();
+    const double instructions = m.at("instructions").asNumber();
     if (windows <= 0.0 ||
         instructions / windows < dispatch_instr_per_window)
         return "dispatch";
-    const double refs = numberAt(m, "cache_refs");
-    const double misses = numberAt(m, "cache_misses");
+    const double refs = m.at("cache_refs").asNumber();
+    const double misses = m.at("cache_misses").asNumber();
     const double miss_rate = refs > 0.0 ? misses / refs : 0.0;
     return miss_rate >= bw_miss_rate ? "bandwidth" : "compute";
 }
@@ -153,8 +117,8 @@ summarizeReport(const std::string &label, const JsonValue &report)
     if (tm != nullptr) {
         std::printf("  total:  windows=%.0f ipc=%.2f miss_rate=%.3f "
                     "measured=%s agreement=%s\n",
-                    numberAt(*tm, "windows"), numberAt(*tm, "ipc"),
-                    numberAt(*tm, "miss_rate"),
+                    tm->at("windows").asNumber(), tm->at("ipc").asNumber(),
+                    tm->at("miss_rate").asNumber(),
                     stringAt(*tm, "measured_bound", "?").c_str(),
                     stringAt(*tm, "agreement", "?").c_str());
     }
@@ -178,10 +142,10 @@ summarizeReport(const std::string &label, const JsonValue &report)
         const bool hw_tier =
             stringAt(*m, "measured_bound", "n/a") != "n/a";
         const std::string ipc =
-            hw_tier ? strprintf("%.2f", numberAt(*m, "ipc")) : "-";
+            hw_tier ? strprintf("%.2f", m->at("ipc").asNumber()) : "-";
         const std::string miss =
             hw_tier
-                ? strprintf("%.1f", numberAt(*m, "miss_rate") * 100.0)
+                ? strprintf("%.1f", m->at("miss_rate").asNumber() * 100.0)
                 : "-";
         std::printf("  %-28s %-10s %8s %8s %-10s %s\n",
                     kv.first.c_str(), modeled.c_str(), ipc.c_str(),
@@ -223,13 +187,13 @@ checkGroup(CheckState &state, const std::string &where,
     const JsonValue *m = measuredBlock(group);
     if (m == nullptr)
         return;
-    const double windows = numberAt(*m, "windows");
+    const double windows = m->at("windows").asNumber();
     if (windows < 1.0)
         state.fail(where, "hwprof block with zero windows");
 
-    const double cycles = numberAt(*m, "cycles");
-    const double instructions = numberAt(*m, "instructions");
-    const double ipc = numberAt(*m, "ipc");
+    const double cycles = m->at("cycles").asNumber();
+    const double instructions = m->at("instructions").asNumber();
+    const double ipc = m->at("ipc").asNumber();
     const double want_ipc =
         cycles > 0.0 ? instructions / cycles : 0.0;
     if (!closeEnough(ipc, want_ipc))
@@ -237,9 +201,9 @@ checkGroup(CheckState &state, const std::string &where,
                               " != instructions/cycles " +
                               std::to_string(want_ipc));
 
-    const double refs = numberAt(*m, "cache_refs");
-    const double misses = numberAt(*m, "cache_misses");
-    const double miss_rate = numberAt(*m, "miss_rate");
+    const double refs = m->at("cache_refs").asNumber();
+    const double misses = m->at("cache_misses").asNumber();
+    const double miss_rate = m->at("miss_rate").asNumber();
     const double want_miss = refs > 0.0 ? misses / refs : 0.0;
     if (miss_rate < 0.0 || miss_rate > 1.0)
         state.fail(where, "miss_rate outside [0,1]: " +
@@ -311,9 +275,9 @@ checkReport(CheckState &state, const std::string &label,
         return;
     }
     const double bw_miss_rate =
-        numberAt(*thresholds, "bandwidth_miss_rate");
+        thresholds->at("bandwidth_miss_rate").asNumber();
     const double dispatch_instr =
-        numberAt(*thresholds, "dispatch_instructions_per_window");
+        thresholds->at("dispatch_instructions_per_window").asNumber();
     if (bw_miss_rate <= 0.0 || dispatch_instr <= 0.0) {
         state.fail(label, "non-positive hwprof thresholds");
         return;
@@ -330,27 +294,20 @@ checkReport(CheckState &state, const std::string &label,
                   bw_miss_rate, dispatch_instr);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+profBody(const Args &args)
 {
-    if (argc == 2 && std::strcmp(argv[1], "--version") == 0) {
-        std::printf("%s\n",
-                    buildinfo::versionLine("gnnperf_prof").c_str());
-        return 0;
-    }
-    if (argc != 3)
-        return usage(argv[0]);
-    const std::string mode = argv[1];
+    const std::string &mode = args.positionals[0];
+    const std::string &path = args.positionals[1];
+    if (mode != "summary" && mode != "check")
+        throw UsageError("expected summary FILE or check FILE");
     JsonValue doc;
-    if (!loadJson(argv[2], doc))
+    if (!loadJson(path, doc))
         return 2;
     const auto reports = collectReports(doc);
     if (reports.empty()) {
-        std::fprintf(stderr,
-                     "gnnperf_prof: %s: no roofline reports found\n",
-                     argv[2]);
+        std::fprintf(stderr, "gnnperf: %s: no roofline reports found\n",
+                     path.c_str());
         return 2;
     }
 
@@ -363,33 +320,44 @@ main(int argc, char **argv)
         if (!any)
             std::printf("no hwprof data in %s — nothing to "
                         "reconcile\n",
-                        argv[2]);
+                        path.c_str());
         return 0;
     }
 
-    if (mode == "check") {
-        CheckState state;
-        bool any = false;
-        for (const auto &kv : reports) {
-            checkReport(state, kv.first, *kv.second);
-            const JsonValue *hw = kv.second->find("hwprof");
-            any = any || (hw != nullptr && hw->isObject());
-        }
-        if (state.failures > 0) {
-            std::fprintf(stderr, "check FAILED: %d violation(s)\n",
-                         state.failures);
-            return 1;
-        }
-        if (!any) {
-            std::printf("check ok: no hwprof data in %s (nothing to "
-                        "verify)\n",
-                        argv[2]);
-            return 0;
-        }
-        std::printf("check ok: %zu report(s) reconciled\n",
-                    reports.size());
+    CheckState state;
+    bool any = false;
+    for (const auto &kv : reports) {
+        checkReport(state, kv.first, *kv.second);
+        const JsonValue *hw = kv.second->find("hwprof");
+        any = any || (hw != nullptr && hw->isObject());
+    }
+    if (state.failures > 0) {
+        std::fprintf(stderr, "check FAILED: %d violation(s)\n",
+                     state.failures);
+        return 1;
+    }
+    if (!any) {
+        std::printf("check ok: no hwprof data in %s (nothing to "
+                    "verify)\n",
+                    path.c_str());
         return 0;
     }
-
-    return usage(argv[0]);
+    std::printf("check ok: %zu report(s) reconciled\n", reports.size());
+    return 0;
 }
+
+} // namespace
+
+const Command kProf = {
+    .name = "prof",
+    .synopsis = "summary FILE | check FILE",
+    .summary = "Summarize or verify the measured-vs-modeled counter "
+               "reconciliation of a roofline JSON.",
+    .options = {},
+    .minArgs = 2,
+    .maxArgs = 2,
+    .body = profBody,
+};
+
+} // namespace cli
+} // namespace gnnperf

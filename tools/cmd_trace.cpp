@@ -1,76 +1,58 @@
 /**
  * @file
- * gnnperf_trace — inspect, self-check and merge execution traces.
+ * `gnnperf trace` — inspect, self-check and merge execution traces.
  *
  * Operates on the object-format Chrome trace JSON written by
- * `run_experiment --trace-out` / GNNPERF_TRACE (obs/exec_trace.hh):
+ * `gnnperf run --trace-out` / GNNPERF_TRACE (obs/exec_trace.hh):
  * `{"traceEvents":[...], "meta":..., "stats_peaks":...,
  * "peak_attribution":...}`.
  *
- * Usage:
- *   gnnperf_trace summary FILE     print track/event counts and the
- *                                  peak-attribution report
- *   gnnperf_trace check FILE       verify the exactness contract: the
- *                                  memory counter-track maxima at or
- *                                  after the last reset_peak marker
- *                                  per device equal the recorded
- *                                  MemoryStats peaks, byte for byte
- *   gnnperf_trace merge OUT IN...  merge trace files into one (pids
- *                                  offset per input so tracks stay
- *                                  distinct in the viewer)
+ *   summary FILE     print track/event counts and the peak-attribution
+ *                    report
+ *   check FILE       verify the exactness contract: the memory
+ *                    counter-track maxima at or after the last
+ *                    reset_peak marker per device equal the recorded
+ *                    MemoryStats peaks, byte for byte
+ *   merge OUT IN...  merge trace files into one (pids offset per input
+ *                    so tracks stay distinct in the viewer)
  *
  * Exit codes: 0 = ok, 1 = check failed, 2 = bad usage or
  * unreadable/unparsable input.
  */
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "common/buildinfo.hh"
 #include "common/fs.hh"
 #include "common/json.hh"
 
-using namespace gnnperf;
+#include "gnnperf.hh"
+
+namespace gnnperf {
+namespace cli {
 
 namespace {
 
-int
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s summary FILE | check FILE | "
-                 "merge OUT IN...\n",
-                 argv0);
-    return 2;
-}
-
-bool
-loadJson(const char *path, JsonValue &out)
-{
-    std::string text;
-    if (!readFile(path, text)) {
-        std::fprintf(stderr, "gnnperf_trace: cannot read %s\n", path);
-        return false;
-    }
-    std::string error;
-    if (!parseJson(text, out, &error)) {
-        std::fprintf(stderr, "gnnperf_trace: %s: %s\n", path,
-                     error.c_str());
-        return false;
-    }
-    return true;
-}
-
-/** The traceEvents array of a document (accepts the bare-array form). */
+/**
+ * Load a trace file and return its traceEvents array (the bare-array
+ * form is accepted too), or nullptr after saying why on stderr.
+ */
 const JsonValue *
-traceEvents(const JsonValue &doc)
+loadTrace(const std::string &path, JsonValue &doc)
 {
-    if (doc.isArray())
-        return &doc;
-    const JsonValue *events = doc.find("traceEvents");
-    return events != nullptr && events->isArray() ? events : nullptr;
+    if (!loadJson(path, doc))
+        return nullptr;
+    const JsonValue *events =
+        doc.isArray() ? &doc : doc.find("traceEvents");
+    if (events == nullptr || !events->isArray()) {
+        std::fprintf(stderr, "gnnperf: %s: no traceEvents\n",
+                     path.c_str());
+        return nullptr;
+    }
+    return events;
 }
 
 /** Per-device recomputation of the counter-track maxima. */
@@ -170,17 +152,12 @@ checkDevice(const JsonValue &doc, const JsonValue &events,
 }
 
 int
-cmdCheck(const char *path)
+cmdCheck(const std::string &path)
 {
     JsonValue doc;
-    if (!loadJson(path, doc))
+    const JsonValue *events = loadTrace(path, doc);
+    if (events == nullptr)
         return 2;
-    const JsonValue *events = traceEvents(doc);
-    if (events == nullptr) {
-        std::fprintf(stderr, "gnnperf_trace: %s: no traceEvents\n",
-                     path);
-        return 2;
-    }
     bool ok = checkDevice(doc, *events, "cuda");
     ok = checkDevice(doc, *events, "host") && ok;
     return ok ? 0 : 1;
@@ -213,17 +190,12 @@ printSnapshot(const char *device, const char *which,
 }
 
 int
-cmdSummary(const char *path)
+cmdSummary(const std::string &path)
 {
     JsonValue doc;
-    if (!loadJson(path, doc))
+    const JsonValue *events = loadTrace(path, doc);
+    if (events == nullptr)
         return 2;
-    const JsonValue *events = traceEvents(doc);
-    if (events == nullptr) {
-        std::fprintf(stderr, "gnnperf_trace: %s: no traceEvents\n",
-                     path);
-        return 2;
-    }
 
     // Event counts per pid (track group).
     std::vector<std::pair<int, std::size_t>> by_pid;
@@ -239,7 +211,7 @@ cmdSummary(const char *path)
         if (!found)
             by_pid.emplace_back(pid, 1);
     }
-    std::printf("%s: %zu events in %zu track groups\n", path,
+    std::printf("%s: %zu events in %zu track groups\n", path.c_str(),
                 events->array.size(), by_pid.size());
     for (const auto &[pid, n] : by_pid)
         std::printf("  pid %d: %zu events\n", pid, n);
@@ -281,7 +253,8 @@ offsetPids(JsonValue &events, double offset)
 }
 
 int
-cmdMerge(const char *out_path, const std::vector<const char *> &inputs)
+cmdMerge(const std::string &out_path,
+         const std::vector<std::string> &inputs)
 {
     JsonValue merged;
     merged.type = JsonValue::Type::Object;
@@ -292,15 +265,9 @@ cmdMerge(const char *out_path, const std::vector<const char *> &inputs)
 
     for (std::size_t i = 0; i < inputs.size(); ++i) {
         JsonValue doc;
-        if (!loadJson(inputs[i], doc))
+        const JsonValue *events = loadTrace(inputs[i], doc);
+        if (events == nullptr)
             return 2;
-        const JsonValue *events = traceEvents(doc);
-        if (events == nullptr) {
-            std::fprintf(stderr,
-                         "gnnperf_trace: %s: no traceEvents\n",
-                         inputs[i]);
-            return 2;
-        }
         JsonValue copy = *events;
         // 100 pids per input leaves room for every track group.
         offsetPids(copy, static_cast<double>(i) * 100.0);
@@ -314,30 +281,37 @@ cmdMerge(const char *out_path, const std::vector<const char *> &inputs)
     merged.object.emplace_back("traceEvents", std::move(all_events));
     merged.object.emplace_back("merged_from", std::move(sources));
     writeFile(out_path, jsonToString(merged) + "\n");
-    std::printf("wrote %s (%zu inputs)\n", out_path, inputs.size());
+    std::printf("wrote %s (%zu inputs)\n", out_path.c_str(),
+                inputs.size());
     return 0;
+}
+
+int
+traceBody(const Args &args)
+{
+    const std::vector<std::string> &pos = args.positionals;
+    if (pos[0] == "summary" && pos.size() == 2)
+        return cmdSummary(pos[1]);
+    if (pos[0] == "check" && pos.size() == 2)
+        return cmdCheck(pos[1]);
+    if (pos[0] == "merge" && pos.size() >= 3)
+        return cmdMerge(pos[1], {pos.begin() + 2, pos.end()});
+    throw UsageError("expected summary FILE, check FILE or merge OUT "
+                     "IN...");
 }
 
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    if (argc == 2 && std::strcmp(argv[1], "--version") == 0) {
-        std::printf("%s\n",
-                    buildinfo::versionLine("gnnperf_trace").c_str());
-        return 0;
-    }
-    if (argc < 3)
-        return usage(argv[0]);
-    const char *cmd = argv[1];
-    if (std::strcmp(cmd, "summary") == 0 && argc == 3)
-        return cmdSummary(argv[2]);
-    if (std::strcmp(cmd, "check") == 0 && argc == 3)
-        return cmdCheck(argv[2]);
-    if (std::strcmp(cmd, "merge") == 0 && argc >= 4) {
-        std::vector<const char *> inputs(argv + 3, argv + argc);
-        return cmdMerge(argv[2], inputs);
-    }
-    return usage(argv[0]);
-}
+const Command kTrace = {
+    .name = "trace",
+    .synopsis = "summary FILE | check FILE | merge OUT IN...",
+    .summary = "Summarize, verify (counter maxima == stats peaks) or "
+               "merge execution traces.",
+    .options = {},
+    .minArgs = 2,
+    .maxArgs = SIZE_MAX,
+    .body = traceBody,
+};
+
+} // namespace cli
+} // namespace gnnperf

@@ -24,7 +24,7 @@
  * Usage:
  *   gnnperf_lint [REPO_ROOT]
  *
- * Exit codes (matching gnnperf_diff): 0 = clean, 1 = violations
+ * Exit codes (matching `gnnperf diff`): 0 = clean, 1 = violations
  * found, 2 = bad usage or unreadable tree.
  */
 
