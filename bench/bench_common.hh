@@ -205,7 +205,7 @@ inline GraphDataset
 benchEnzymes()
 {
     const int64_t n = envInt("GNNPERF_ENZYMES_GRAPHS",
-                             fullScale() ? 600 : 300);
+                             fullScale() ? 600 : 300, 1, 100000);
     return makeEnzymes(/*seed=*/42, n);
 }
 
@@ -219,7 +219,7 @@ benchDD()
 {
     if (fullScale())
         return makeDD(/*seed=*/42, 1178, 0);
-    const int64_t n = envInt("GNNPERF_DD_GRAPHS", 96);
+    const int64_t n = envInt("GNNPERF_DD_GRAPHS", 96, 1, 100000);
     return makeDD(/*seed=*/42, n, /*max_nodes_cap=*/300);
 }
 
@@ -229,7 +229,7 @@ benchMnist()
 {
     MnistSuperpixelConfig cfg;
     cfg.numGraphs = envInt("GNNPERF_MNIST_GRAPHS",
-                           fullScale() ? 70000 : 800);
+                           fullScale() ? 70000 : 800, 1, 100000);
     return makeMnistSuperpixels(cfg);
 }
 

@@ -8,15 +8,15 @@
  *   model     GCN | GAT | SAGE | GIN | MoNet | GatedGCN  (default GCN)
  *   framework PyG | DGL                                   (default PyG)
  *   dataset   cora | pubmed                               (default cora)
- *   epochs    positive integer                            (default 60)
+ *   epochs    1..100000                                   (default 60)
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "core/experiment.hh"
 #include "common/string_utils.hh"
+#include "example_args.hh"
 
 using namespace gnnperf;
 
@@ -26,7 +26,8 @@ main(int argc, char **argv)
     const std::string model_name = argc > 1 ? argv[1] : "GCN";
     const std::string fw_name = argc > 2 ? argv[2] : "PyG";
     const std::string ds_name = argc > 3 ? argv[3] : "cora";
-    const int epochs = argc > 4 ? std::atoi(argv[4]) : 60;
+    const int64_t epochs =
+        intArg(argc, argv, 4, "epochs", 60, 1, 100000);
 
     const ModelKind kind = modelKindFromName(model_name);
     const FrameworkKind fw = iequals(fw_name, "dgl")
@@ -42,7 +43,7 @@ main(int argc, char **argv)
                 info.numFeatures, info.numClasses);
 
     TrainOptions opts;
-    opts.maxEpochs = epochs;
+    opts.maxEpochs = static_cast<int>(epochs);
     opts.seed = 3;
     opts.verbose = true;
     NodeTrainResult r = trainNodeTask(kind, getBackend(fw), dataset,

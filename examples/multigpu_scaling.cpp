@@ -4,13 +4,15 @@
  * time of GCN and GAT on MNIST-superpixel graphs at 1/2/4/8 GPUs.
  *
  * Usage: multigpu_scaling [num_graphs] [batch_size]
+ *   num_graphs  1..100000 (default 600)
+ *   batch_size  1..100000 (default 256)
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/experiment.hh"
 #include "core/report.hh"
+#include "example_args.hh"
 
 using namespace gnnperf;
 
@@ -18,8 +20,9 @@ int
 main(int argc, char **argv)
 {
     MnistSuperpixelConfig cfg;
-    cfg.numGraphs = argc > 1 ? std::atoll(argv[1]) : 600;
-    const int64_t batch = argc > 2 ? std::atoll(argv[2]) : 256;
+    cfg.numGraphs = intArg(argc, argv, 1, "num_graphs", 600, 1, 100000);
+    const int64_t batch =
+        intArg(argc, argv, 2, "batch_size", 256, 1, 100000);
 
     std::printf("generating %ld MNIST superpixel graphs...\n",
                 cfg.numGraphs);

@@ -5,13 +5,15 @@
  * under both frameworks, with the per-epoch execution-time breakdown.
  *
  * Usage: protein_graph_classification [model] [folds] [epochs]
+ *   folds   1..10 of the ten-fold split (default 2)
+ *   epochs  1..100000 (default 12)
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/experiment.hh"
 #include "core/report.hh"
+#include "example_args.hh"
 
 using namespace gnnperf;
 
@@ -20,8 +22,9 @@ main(int argc, char **argv)
 {
     const ModelKind kind =
         modelKindFromName(argc > 1 ? argv[1] : "GIN");
-    const int folds = argc > 2 ? std::atoi(argv[2]) : 2;
-    const int epochs = argc > 3 ? std::atoi(argv[3]) : 12;
+    const int64_t folds = intArg(argc, argv, 2, "folds", 2, 1, 10);
+    const int64_t epochs =
+        intArg(argc, argv, 3, "epochs", 12, 1, 100000);
 
     GraphDataset dataset = makeEnzymes(/*seed=*/42,
                                        /*num_graphs=*/240);
@@ -34,9 +37,9 @@ main(int argc, char **argv)
     for (FrameworkKind fw : allFrameworks()) {
         std::vector<double> accs;
         GraphTrainResult last;
-        for (int f = 0; f < folds; ++f) {
+        for (int64_t f = 0; f < folds; ++f) {
             TrainOptions opts;
-            opts.maxEpochs = epochs;
+            opts.maxEpochs = static_cast<int>(epochs);
             opts.seed = 11 + static_cast<uint64_t>(f);
             last = trainGraphTask(kind, getBackend(fw), dataset,
                                   splits[static_cast<std::size_t>(f)],

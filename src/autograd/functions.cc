@@ -10,22 +10,56 @@ namespace gnnperf {
 namespace fn {
 
 using autograd::Node;
+using ops::EwBinary;
+using ops::EwUnary;
 
 namespace {
 
+using BackwardFn = std::function<void(Node &)>;
+
 /**
- * Operand reference for the op-graph recorder: pending slot if the
- * input is itself a recorded-but-unflushed op, else its concrete
- * tensor. Reads the tape node directly — going through value() would
- * force a flush and defeat the recording.
+ * Operand reference for the ir entry points. Reads the tape node
+ * directly — going through value() would force a flush and defeat
+ * the recording.
  */
 ir::ValRef
 refOf(const Var &v)
 {
-    gnnperf_assert(v.defined(), "recording op on undefined Var");
+    gnnperf_assert(v.defined(), "op on undefined Var");
     const auto &node = v.node();
-    return node->irSlot >= 0 ? ir::ValRef::pending(node->irSlot)
-                             : ir::ValRef::concrete(node->value);
+    return ir::ValRef{node->irSlot, &node->value};
+}
+
+Var
+unaryVar(EwUnary k, float p, const Var &a, BackwardFn bwd)
+{
+    return Var::makeOp(ops::ewUnaryName(k), ir::unary(k, p, refOf(a)),
+                       {a}, std::move(bwd));
+}
+
+Var
+binaryVar(EwBinary k, const Var &a, const Var &b, BackwardFn bwd)
+{
+    return Var::makeOp(ops::ewBinaryName(k),
+                       ir::binary(k, refOf(a), refOf(b)), {a, b},
+                       std::move(bwd));
+}
+
+/**
+ * Backward of an activation whose derivative is a gradient kind of
+ * the binary core: dx = kind(dy, saved), where `saved` is the
+ * activation's input or output tensor.
+ */
+BackwardFn
+activationGrad(EwBinary k, float p, bool saved_is_output)
+{
+    return [k, p, saved_is_output](Node &n) {
+        if (!n.inputs[0]->requiresGrad)
+            return;
+        const Tensor &saved =
+            saved_is_output ? n.value : n.inputs[0]->value;
+        n.inputs[0]->accumulateGrad(ops::ewBinary(n.grad, saved, k, p));
+    };
 }
 
 } // namespace
@@ -50,60 +84,42 @@ matmul(const Var &a, const Var &b)
 Var
 add(const Var &a, const Var &b)
 {
-    auto bwd = [](Node &n) {
+    return binaryVar(EwBinary::Add, a, b, [](Node &n) {
         if (n.inputs[0]->requiresGrad)
             n.inputs[0]->accumulateGrad(n.grad);
         if (n.inputs[1]->requiresGrad)
             n.inputs[1]->accumulateGrad(n.grad);
-    };
-    if (ir::recording())
-        return Var::makeOpRecorded("add",
-            ir::recordBinary(ops::EwBinary::Add, refOf(a), refOf(b)),
-            {a, b}, bwd);
-    return Var::makeOp("add", ops::add(a.value(), b.value()), {a, b},
-                       bwd);
+    });
 }
 
 Var
 sub(const Var &a, const Var &b)
 {
-    auto bwd = [](Node &n) {
+    return binaryVar(EwBinary::Sub, a, b, [](Node &n) {
         if (n.inputs[0]->requiresGrad)
             n.inputs[0]->accumulateGrad(n.grad);
         if (n.inputs[1]->requiresGrad)
             n.inputs[1]->accumulateGrad(ops::scale(n.grad, -1.0f));
-    };
-    if (ir::recording())
-        return Var::makeOpRecorded("sub",
-            ir::recordBinary(ops::EwBinary::Sub, refOf(a), refOf(b)),
-            {a, b}, bwd);
-    return Var::makeOp("sub", ops::sub(a.value(), b.value()), {a, b},
-                       bwd);
+    });
 }
 
 Var
 mul(const Var &a, const Var &b)
 {
-    auto bwd = [](Node &n) {
+    return binaryVar(EwBinary::Mul, a, b, [](Node &n) {
         if (n.inputs[0]->requiresGrad)
             n.inputs[0]->accumulateGrad(
                 ops::mul(n.grad, n.inputs[1]->value));
         if (n.inputs[1]->requiresGrad)
             n.inputs[1]->accumulateGrad(
                 ops::mul(n.grad, n.inputs[0]->value));
-    };
-    if (ir::recording())
-        return Var::makeOpRecorded("mul",
-            ir::recordBinary(ops::EwBinary::Mul, refOf(a), refOf(b)),
-            {a, b}, bwd);
-    return Var::makeOp("mul", ops::mul(a.value(), b.value()), {a, b},
-                       bwd);
+    });
 }
 
 Var
 divElem(const Var &a, const Var &b)
 {
-    auto bwd = [](Node &n) {
+    return binaryVar(EwBinary::Div, a, b, [](Node &n) {
         Tensor inv = ops::reciprocal(n.inputs[1]->value);
         if (n.inputs[0]->requiresGrad)
             n.inputs[0]->accumulateGrad(ops::mul(n.grad, inv));
@@ -114,13 +130,7 @@ divElem(const Var &a, const Var &b)
                 ops::mul(ops::mul(n.grad, n.inputs[0]->value), inv2),
                 -1.0f));
         }
-    };
-    if (ir::recording())
-        return Var::makeOpRecorded("div",
-            ir::recordBinary(ops::EwBinary::Div, refOf(a), refOf(b)),
-            {a, b}, bwd);
-    return Var::makeOp("div", ops::div(a.value(), b.value()), {a, b},
-                       bwd);
+    });
 }
 
 Var
@@ -143,30 +153,19 @@ mulScalarVar(const Var &x, const Var &s)
 Var
 scale(const Var &a, float s)
 {
-    auto bwd = [s](Node &n) {
+    return unaryVar(EwUnary::Scale, s, a, [s](Node &n) {
         if (n.inputs[0]->requiresGrad)
             n.inputs[0]->accumulateGrad(ops::scale(n.grad, s));
-    };
-    if (ir::recording())
-        return Var::makeOpRecorded("scale",
-            ir::recordUnary(ops::EwUnary::Scale, s, refOf(a)), {a},
-            bwd);
-    return Var::makeOp("scale", ops::scale(a.value(), s), {a}, bwd);
+    });
 }
 
 Var
 addScalar(const Var &a, float s)
 {
-    auto bwd = [](Node &n) {
+    return unaryVar(EwUnary::AddScalar, s, a, [](Node &n) {
         if (n.inputs[0]->requiresGrad)
             n.inputs[0]->accumulateGrad(n.grad);
-    };
-    if (ir::recording())
-        return Var::makeOpRecorded("add_scalar",
-            ir::recordUnary(ops::EwUnary::AddScalar, s, refOf(a)), {a},
-            bwd);
-    return Var::makeOp("add_scalar", ops::addScalar(a.value(), s), {a},
-                       bwd);
+    });
 }
 
 Var
@@ -206,44 +205,18 @@ subRowVec(const Var &x, const Var &v)
 Var
 mulRowVec(const Var &x, const Var &v)
 {
-    gnnperf_assert(x.rank() == 2 && v.rank() == 1 &&
-                   x.dim(1) == v.dim(0), "mulRowVec: shape mismatch");
-    const Tensor &xv = x.value();
-    const Tensor &vv = v.value();
-    Tensor out(xv.shape(), xv.device());
-    const int64_t n = xv.dim(0), f = xv.dim(1);
-    const float *px = xv.data();
-    const float *pv = vv.data();
-    float *po = out.data();
-    for (int64_t i = 0; i < n; ++i)
-        for (int64_t j = 0; j < f; ++j)
-            po[i * f + j] = px[i * f + j] * pv[j];
-    recordKernel("mul_rowvec", static_cast<double>(n * f),
-                 2.0 * static_cast<double>(xv.bytes()));
-    Tensor xc = xv, vc = vv;
-    return Var::makeOp("mul_rowvec", std::move(out), {x, v},
-        [xc, vc](Node &n2) {
-            if (n2.inputs[0]->requiresGrad) {
-                // dX = dO * v (row broadcast)
-                const Tensor &g = n2.grad;
-                Tensor gx(g.shape(), g.device());
-                const int64_t rows = g.dim(0), cols = g.dim(1);
-                const float *pg = g.data();
-                const float *pvv = vc.data();
-                float *pgx = gx.data();
-                for (int64_t i = 0; i < rows; ++i)
-                    for (int64_t j = 0; j < cols; ++j)
-                        pgx[i * cols + j] = pg[i * cols + j] * pvv[j];
-                recordKernel("mul_rowvec_bwd",
-                             static_cast<double>(rows * cols),
-                             2.0 * static_cast<double>(g.bytes()));
-                n2.inputs[0]->accumulateGrad(gx);
-            }
-            if (n2.inputs[1]->requiresGrad) {
-                // dv = colsum(dO * x)
-                n2.inputs[1]->accumulateGrad(
-                    ops::sumRows(ops::mul(n2.grad, xc)));
-            }
+    Tensor xc = x.value(), vc = v.value();
+    return Var::makeOp("mul_rowvec", ops::mulRows(xc, vc, "mul_rowvec"),
+        {x, v},
+        [xc, vc](Node &n) {
+            // dX = dO * v (row broadcast)
+            if (n.inputs[0]->requiresGrad)
+                n.inputs[0]->accumulateGrad(
+                    ops::mulRows(n.grad, vc, "mul_rowvec_bwd"));
+            // dv = colsum(dO * x)
+            if (n.inputs[1]->requiresGrad)
+                n.inputs[1]->accumulateGrad(
+                    ops::sumRows(ops::mul(n.grad, xc)));
         });
 }
 
@@ -283,138 +256,48 @@ divCols(const Var &x, const Var &s)
 Var
 relu(const Var &a)
 {
-    auto bwd = [](Node &n) {
-        if (!n.inputs[0]->requiresGrad)
-            return;
-        Tensor g(n.grad.shape(), n.grad.device());
-        const float *pg = n.grad.data();
-        const float *px = n.inputs[0]->value.data();
-        float *po = g.data();
-        for (int64_t i = 0; i < g.numel(); ++i)
-            po[i] = px[i] > 0.0f ? pg[i] : 0.0f;
-        recordKernel("relu_bwd", static_cast<double>(g.numel()),
-                     3.0 * static_cast<double>(g.bytes()));
-        n.inputs[0]->accumulateGrad(g);
-    };
-    if (ir::recording())
-        return Var::makeOpRecorded("relu",
-            ir::recordUnary(ops::EwUnary::Relu, 0.0f, refOf(a)), {a},
-            bwd);
-    return Var::makeOp("relu", ops::relu(a.value()), {a}, bwd);
+    return unaryVar(EwUnary::Relu, 0.0f, a,
+                   activationGrad(EwBinary::ReluGrad, 0.0f, false));
 }
 
 Var
 sigmoid(const Var &a)
 {
-    auto bwd = [](Node &n) {
-        if (!n.inputs[0]->requiresGrad)
-            return;
-        Tensor g(n.grad.shape(), n.grad.device());
-        const float *pg = n.grad.data();
-        const float *po = n.value.data();
-        float *pr = g.data();
-        for (int64_t i = 0; i < g.numel(); ++i)
-            pr[i] = pg[i] * po[i] * (1.0f - po[i]);
-        recordKernel("sigmoid_bwd",
-                     3.0 * static_cast<double>(g.numel()),
-                     3.0 * static_cast<double>(g.bytes()));
-        n.inputs[0]->accumulateGrad(g);
-    };
-    if (ir::recording())
-        return Var::makeOpRecorded("sigmoid",
-            ir::recordUnary(ops::EwUnary::Sigmoid, 0.0f, refOf(a)),
-            {a}, bwd);
-    return Var::makeOp("sigmoid", ops::sigmoid(a.value()), {a}, bwd);
+    return unaryVar(EwUnary::Sigmoid, 0.0f, a,
+                   activationGrad(EwBinary::SigmoidGrad, 0.0f, true));
 }
 
 Var
 tanhV(const Var &a)
 {
-    auto bwd = [](Node &n) {
-        if (!n.inputs[0]->requiresGrad)
-            return;
-        Tensor g(n.grad.shape(), n.grad.device());
-        const float *pg = n.grad.data();
-        const float *po = n.value.data();
-        float *pr = g.data();
-        for (int64_t i = 0; i < g.numel(); ++i)
-            pr[i] = pg[i] * (1.0f - po[i] * po[i]);
-        recordKernel("tanh_bwd",
-                     3.0 * static_cast<double>(g.numel()),
-                     3.0 * static_cast<double>(g.bytes()));
-        n.inputs[0]->accumulateGrad(g);
-    };
-    if (ir::recording())
-        return Var::makeOpRecorded("tanh",
-            ir::recordUnary(ops::EwUnary::Tanh, 0.0f, refOf(a)), {a},
-            bwd);
-    return Var::makeOp("tanh", ops::tanhT(a.value()), {a}, bwd);
+    return unaryVar(EwUnary::Tanh, 0.0f, a,
+                   activationGrad(EwBinary::TanhGrad, 0.0f, true));
 }
 
 Var
 elu(const Var &a, float alpha)
 {
-    auto bwd = [alpha](Node &n) {
-        if (!n.inputs[0]->requiresGrad)
-            return;
-        Tensor g(n.grad.shape(), n.grad.device());
-        const float *pg = n.grad.data();
-        const float *px = n.inputs[0]->value.data();
-        const float *po = n.value.data();
-        float *pr = g.data();
-        for (int64_t i = 0; i < g.numel(); ++i) {
-            const float d = px[i] > 0.0f ? 1.0f : po[i] + alpha;
-            pr[i] = pg[i] * d;
-        }
-        recordKernel("elu_bwd",
-                     2.0 * static_cast<double>(g.numel()),
-                     3.0 * static_cast<double>(g.bytes()));
-        n.inputs[0]->accumulateGrad(g);
-    };
-    if (ir::recording())
-        return Var::makeOpRecorded("elu",
-            ir::recordUnary(ops::EwUnary::Elu, alpha, refOf(a)), {a},
-            bwd);
-    return Var::makeOp("elu", ops::elu(a.value(), alpha), {a}, bwd);
+    return unaryVar(EwUnary::Elu, alpha, a, [alpha](Node &n) {
+        if (n.inputs[0]->requiresGrad)
+            n.inputs[0]->accumulateGrad(ops::eluGrad(
+                n.grad, n.inputs[0]->value, n.value, alpha));
+    });
 }
 
 Var
 leakyRelu(const Var &a, float slope)
 {
-    auto bwd = [slope](Node &n) {
-        if (!n.inputs[0]->requiresGrad)
-            return;
-        Tensor g(n.grad.shape(), n.grad.device());
-        const float *pg = n.grad.data();
-        const float *px = n.inputs[0]->value.data();
-        float *pr = g.data();
-        for (int64_t i = 0; i < g.numel(); ++i)
-            pr[i] = px[i] > 0.0f ? pg[i] : slope * pg[i];
-        recordKernel("leaky_relu_bwd",
-                     static_cast<double>(g.numel()),
-                     3.0 * static_cast<double>(g.bytes()));
-        n.inputs[0]->accumulateGrad(g);
-    };
-    if (ir::recording())
-        return Var::makeOpRecorded("leaky_relu",
-            ir::recordUnary(ops::EwUnary::LeakyRelu, slope, refOf(a)),
-            {a}, bwd);
-    return Var::makeOp("leaky_relu", ops::leakyRelu(a.value(), slope),
-                       {a}, bwd);
+    return unaryVar(EwUnary::LeakyRelu, slope, a,
+                   activationGrad(EwBinary::LeakyReluGrad, slope, false));
 }
 
 Var
 expV(const Var &a)
 {
-    auto bwd = [](Node &n) {
+    return unaryVar(EwUnary::Exp, 0.0f, a, [](Node &n) {
         if (n.inputs[0]->requiresGrad)
             n.inputs[0]->accumulateGrad(ops::mul(n.grad, n.value));
-    };
-    if (ir::recording())
-        return Var::makeOpRecorded("exp",
-            ir::recordUnary(ops::EwUnary::Exp, 0.0f, refOf(a)), {a},
-            bwd);
-    return Var::makeOp("exp", ops::expT(a.value()), {a}, bwd);
+    });
 }
 
 Var
@@ -497,24 +380,13 @@ Var
 gatherRows(const Var &x, const std::vector<int64_t> &idx)
 {
     const int64_t num_rows = x.dim(0);
-    if (ir::recording()) {
-        // One interned copy shared by the graph node and the closure,
-        // matching eager's single capture of the index vector.
-        auto shared = ir::internedIndex(idx);
-        return Var::makeOpRecorded("gather_rows",
-            ir::recordGather(refOf(x), idx), {x},
-            [shared, num_rows](Node &n) {
-                if (n.inputs[0]->requiresGrad)
-                    n.inputs[0]->accumulateGrad(
-                        ops::scatterAddRows(n.grad, *shared, num_rows));
-            });
-    }
-    return Var::makeOp("gather_rows",
-        ops::gatherRows(x.value(), idx), {x},
-        [idx, num_rows](Node &n) {
+    // One copy of the index vector, shared by the op and the closure.
+    ir::Index shared = ir::sharedIndex(idx);
+    return Var::makeOp("gather_rows", ir::gather(refOf(x), shared), {x},
+        [shared, num_rows](Node &n) {
             if (n.inputs[0]->requiresGrad)
                 n.inputs[0]->accumulateGrad(
-                    ops::scatterAddRows(n.grad, idx, num_rows));
+                    ops::scatterAddRows(n.grad, *shared, num_rows));
         });
 }
 
@@ -522,22 +394,13 @@ Var
 scatterAddRows(const Var &x, const std::vector<int64_t> &idx,
                int64_t num_rows)
 {
-    if (ir::recording()) {
-        auto shared = ir::internedIndex(idx);
-        return Var::makeOpRecorded("scatter_add_rows",
-            ir::recordScatterAdd(refOf(x), idx, num_rows), {x},
-            [shared](Node &n) {
-                if (n.inputs[0]->requiresGrad)
-                    n.inputs[0]->accumulateGrad(
-                        ops::gatherRows(n.grad, *shared));
-            });
-    }
+    ir::Index shared = ir::sharedIndex(idx);
     return Var::makeOp("scatter_add_rows",
-        ops::scatterAddRows(x.value(), idx, num_rows), {x},
-        [idx](Node &n) {
+        ir::scatterAdd(refOf(x), shared, num_rows), {x},
+        [shared](Node &n) {
             if (n.inputs[0]->requiresGrad)
                 n.inputs[0]->accumulateGrad(
-                    ops::gatherRows(n.grad, idx));
+                    ops::gatherRows(n.grad, *shared));
         });
 }
 

@@ -5,9 +5,14 @@
  * Each function computes its forward value with the tensor kernels in
  * tensor/ops.hh (which emit kernel trace records) and registers a
  * backward closure that computes input gradients with further real
- * kernels. Graph-structure ops (message passing, pooling, edge
- * softmax) are NOT here — they are backend-specific and live in
- * src/backends/{pyg,dgl}.
+ * kernels. The 14 recordable ops (elementwise unary and binary,
+ * gatherRows, scatterAddRows) get their forward from the ir entry
+ * points (ir/ir.hh), which record it in graph mode or run it now;
+ * each is one Var::makeOp call. Activation gradients run on the
+ * gradient kinds of the elementwise core (ops::EwBinary::ReluGrad,
+ * …) on the thread pool. Graph-structure ops (message passing,
+ * pooling, edge softmax) are NOT here — they are backend-specific and
+ * live in src/backends/{pyg,dgl}.
  */
 
 #ifndef GNNPERF_AUTOGRAD_FUNCTIONS_HH

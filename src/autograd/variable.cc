@@ -32,7 +32,7 @@ Var::Var(Tensor value, bool requires_grad)
 }
 
 Var
-Var::makeOp(const char *name, Tensor value, std::vector<Var> inputs,
+Var::makeOp(const char *name, ir::Result out, std::vector<Var> inputs,
             std::function<void(Node &)> backward_fn)
 {
     bool any_grad = false;
@@ -44,37 +44,13 @@ Var::makeOp(const char *name, Tensor value, std::vector<Var> inputs,
             }
         }
     }
-    if (!any_grad) {
+    if (!any_grad && !out.isPending()) {
         // Detached result: no tape edges, no closure retained.
-        return Var(std::move(value), false);
+        return Var(std::move(out.tensor), false);
     }
     auto node = std::make_shared<Node>();
-    node->value = std::move(value);
-    node->requiresGrad = true;
-    node->opName = name;
-    node->backwardFn = std::move(backward_fn);
-    node->inputs.reserve(inputs.size());
-    for (auto &in : inputs)
-        node->inputs.push_back(in.node());
-    return Var(std::move(node));
-}
-
-Var
-Var::makeOpRecorded(const char *name, int32_t ir_slot,
-                    std::vector<Var> inputs,
-                    std::function<void(Node &)> backward_fn)
-{
-    bool any_grad = false;
-    if (GradMode::enabled()) {
-        for (const auto &in : inputs) {
-            if (in.defined() && in.requiresGrad()) {
-                any_grad = true;
-                break;
-            }
-        }
-    }
-    auto node = std::make_shared<Node>();
-    node->irSlot = ir_slot;
+    node->value = std::move(out.tensor);
+    node->irSlot = out.slot;
     if (any_grad) {
         node->requiresGrad = true;
         node->opName = name;
@@ -83,12 +59,15 @@ Var::makeOpRecorded(const char *name, int32_t ir_slot,
         for (auto &in : inputs)
             node->inputs.push_back(in.node());
     }
-    // Pruned results stay pending leaves: either way the flush delivers
-    // the tensor through this sink before any backward runs.
-    ir::bindSink(ir_slot, [node](Tensor t) {
-        node->value = std::move(t);
-        node->irSlot = -1;
-    });
+    if (out.isPending()) {
+        // Pruned results stay pending leaves: either way the flush
+        // delivers the tensor through this sink before any backward
+        // runs.
+        ir::bindSink(out.slot, [node](Tensor t) {
+            node->value = std::move(t);
+            node->irSlot = -1;
+        });
+    }
     return Var(std::move(node));
 }
 

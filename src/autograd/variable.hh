@@ -20,6 +20,7 @@
 #include <memory>
 #include <vector>
 
+#include "ir/ir.hh"
 #include "tensor/tensor.hh"
 
 namespace gnnperf {
@@ -90,25 +91,18 @@ class Var
     explicit Var(Tensor value, bool requires_grad = false);
 
     /**
-     * Create an op result node. If gradient recording is off or no
-     * input requires a gradient, the result is a detached leaf and
-     * `backward_fn` is discarded (graph pruning).
+     * Create an op result node from `out`, a concrete tensor or a
+     * slot pending in the recorded op graph (ir::Result). If gradient
+     * recording is off or no input requires a gradient, `backward_fn`
+     * is discarded (graph pruning) and a concrete result is a detached
+     * leaf. A pending result always gets a node whose value arrives
+     * through an ir sink at the next flush, so `backward_fn` must read
+     * its operands from the tape (`n.inputs[k]->value`, `n.value`) —
+     * by the time it runs those are concrete.
      */
-    static Var makeOp(const char *name, Tensor value,
+    static Var makeOp(const char *name, ir::Result out,
                       std::vector<Var> inputs,
                       std::function<void(Node &)> backward_fn);
-
-    /**
-     * Create an op result node whose value is pending in the recorded
-     * op graph (`ir_slot` from ir::record*). Applies the same graph
-     * pruning as makeOp; either way the node's value arrives through
-     * an ir sink at the next flush. The `backward_fn` must read its
-     * operands from the tape (`n.inputs[k]->value`, `n.value`) — by
-     * flush time those are concrete.
-     */
-    static Var makeOpRecorded(const char *name, int32_t ir_slot,
-                              std::vector<Var> inputs,
-                              std::function<void(Node &)> backward_fn);
 
     bool defined() const { return node_ != nullptr; }
 

@@ -6,9 +6,12 @@
  * finishes in minutes on one CPU core, and honour:
  *
  *   GNNPERF_SCALE=full    — paper-scale protocol
- *   GNNPERF_EPOCHS=N      — override epoch budget
- *   GNNPERF_SEEDS=N       — override number of seeds / repeats
- *   GNNPERF_FOLDS=N       — override number of CV folds
+ *   GNNPERF_EPOCHS=N      — override epoch budget, 1..100000
+ *   GNNPERF_SEEDS=N       — override number of seeds / repeats, 1..1000
+ *   GNNPERF_FOLDS=N       — override number of CV folds, 1..10
+ *   GNNPERF_ENZYMES_GRAPHS=N, GNNPERF_DD_GRAPHS=N,
+ *   GNNPERF_MNIST_GRAPHS=N — smoke-scale dataset sizes of the benches
+ *                           (bench/bench_common.hh), 1..100000
  *   GNNPERF_LOG=debug|info|warn — minimum log level (common/logging)
  *   GNNPERF_LOG_TIME=1    — timestamp log lines
  *   GNNPERF_STATS=1       — enable stats sampling in the benches
@@ -46,7 +49,9 @@
  *
  * `gnnperf run` checks GNNPERF_THREADS, _IR, _ALLOCATOR, _TRACE and
  * _HWPROF in its option table as the fallbacks of its flags (the flag
- * wins; a bad value exits 2 naming the variable).
+ * wins; a bad value exits 2 naming the variable). The bench knobs
+ * with a range above take the same ranges as `gnnperf run`'s flags; a
+ * value outside it is fatal and names the variable and the range.
  */
 
 #ifndef GNNPERF_COMMON_ENV_HH
@@ -61,6 +66,13 @@ namespace gnnperf {
  * that is not a whole base-10 integer is fatal and names the variable.
  */
 int64_t envInt(const char *name, int64_t fallback);
+
+/**
+ * Same, and a set value outside [lo, hi] is fatal too, naming the
+ * variable and the range. The fallback is not checked.
+ */
+int64_t envInt(const char *name, int64_t fallback, int64_t lo,
+               int64_t hi);
 
 /** Read a string env var with a default. */
 std::string envString(const char *name, const std::string &fallback);

@@ -15,7 +15,7 @@ namespace {
  * record-call literals in src/ stay a subset of this table.
  */
 const char *const kKernelNames[] = {
-    // tensor/ops.cc — elementwise
+    // tensor/ops.cc — elementwise (forward and activation gradients)
     "add",
     "add_",
     "add_bias",
@@ -25,20 +25,27 @@ const char *const kKernelNames[] = {
     "div_cols",
     "dropout",
     "elu",
+    "elu_bwd",
     "exp",
     "leaky_relu",
+    "leaky_relu_bwd",
     "log",
     "maximum",
     "mul",
     "mul_cols",
+    "mul_rowvec",
+    "mul_rowvec_bwd",
     "reciprocal",
     "relu",
+    "relu_bwd",
     "scale",
     "sigmoid",
+    "sigmoid_bwd",
     "sqrt",
     "square",
     "sub",
     "tanh",
+    "tanh_bwd",
     // tensor/ops.cc — reductions, shapes, indexing
     "argmax",
     "col_sum",
@@ -80,15 +87,8 @@ const char *const kKernelNames[] = {
     // graph/batched_graph.cc
     "edge_pseudo",
     // autograd/functions.cc
-    "elu_bwd",
-    "leaky_relu_bwd",
-    "mul_rowvec",
-    "mul_rowvec_bwd",
-    "relu_bwd",
     "row_sum_bwd",
-    "sigmoid_bwd",
     "slice_cols_bwd",
-    "tanh_bwd",
     // nn/
     "adam_update",
     "batch_norm",

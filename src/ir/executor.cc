@@ -47,21 +47,16 @@ computeRow(const std::vector<MemberExec> &members, int64_t e)
         const float *a_row = m.a + e * m.w;
         switch (m.kind) {
           case OpKind::Gather:
-            std::memcpy(m.out + e * m.w, m.a + m.idx[e] * m.w,
+            std::memcpy(out_row, m.a + m.idx[e] * m.w,
                         static_cast<std::size_t>(m.w) * sizeof(float));
             break;
           case OpKind::Unary:
-            for (int64_t j = 0; j < m.w; ++j)
-                out_row[j] = ops::ewUnaryApply(m.ukind, a_row[j],
-                                               m.param);
+            ops::ewUnaryRow(m.ukind, m.param, a_row, out_row, m.w);
             break;
-          case OpKind::Binary: {
-            const float *b_row = m.b + e * m.w;
-            for (int64_t j = 0; j < m.w; ++j)
-                out_row[j] = ops::ewBinaryApply(m.bkind, a_row[j],
-                                                b_row[j]);
+          case OpKind::Binary:
+            ops::ewBinaryRow(m.bkind, m.param, a_row, m.b + e * m.w,
+                             out_row, m.w);
             break;
-          }
           case OpKind::ScatterAdd: {
             float *dst = m.out + m.idx[e] * m.w;
             for (int64_t j = 0; j < m.w; ++j)
@@ -125,10 +120,12 @@ executeSingle(OpGraph &g, const OpNode &n)
         ops::ewUnaryInto(out, a, n.ukind, n.param);
         break;
       case OpKind::Binary:
-        ops::ewBinaryInto(out, a, valueTensor(g, n.b), n.bkind);
+        ops::ewBinaryInto(out, a, valueTensor(g, n.b), n.bkind, n.param);
         break;
     }
 }
+
+} // namespace
 
 void
 executeFused(OpGraph &g, const FusionGroup &grp)
@@ -231,8 +228,6 @@ executeFused(OpGraph &g, const FusionGroup &grp)
 
     recordKernel(groupKernelName(grp), flops, bytes);
 }
-
-} // namespace
 
 void
 execute(OpGraph &g, const std::vector<FusionGroup> &groups)

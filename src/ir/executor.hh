@@ -7,8 +7,9 @@
  * names, grains and KernelRecords); multi-node groups become one
  * registered fused launch each ("fused_gather_ew",
  * "fused_gather_ew_scatter", "fused_ew", "fused_ew_scatter") whose
- * per-edge member chain inlines the same elementwise math the eager
- * kernels use — bit-identical output at every thread width.
+ * per-row member chain calls the elementwise row core the eager
+ * kernels use (ops::ewUnaryRow / ewBinaryRow) — bit-identical output
+ * at every thread width.
  */
 
 #ifndef GNNPERF_IR_EXECUTOR_HH
@@ -28,6 +29,13 @@ namespace ir {
  * deferred launches to the layer that recorded them.
  */
 void execute(OpGraph &g, const std::vector<FusionGroup> &groups);
+
+/**
+ * Run one group as a single fused row launch. execute() uses it for
+ * groups of two or more; tests call it on one-member groups to check
+ * that a fused row matches the eager kernel.
+ */
+void executeFused(OpGraph &g, const FusionGroup &grp);
 
 } // namespace ir
 } // namespace gnnperf

@@ -54,7 +54,7 @@ internValue(OpGraph &g, const ValRef &ref)
 }
 
 /** Append a node and its output value; returns the output slot. */
-int32_t
+Result
 pushNode(OpGraph &g, OpNode node, std::vector<int64_t> out_shape,
          DeviceKind device)
 {
@@ -71,7 +71,18 @@ pushNode(OpGraph &g, OpNode node, std::vector<int64_t> out_shape,
     ++g_counters.recordedOps;
     static stats::Counter &recorded = stats::counter("ir.recorded_ops");
     recorded.inc();
-    return g.nodes.back().out;
+    return Result::pending(g.nodes.back().out);
+}
+
+/** The input's tensor, flushing first if it is still pending. */
+const Tensor &
+concrete(const ValRef &ref)
+{
+    if (ref.slot >= 0)
+        materializeAll();
+    gnnperf_assert(ref.tensor != nullptr && ref.tensor->defined(),
+                   "ir: op on undefined input tensor");
+    return *ref.tensor;
 }
 
 } // namespace
@@ -121,9 +132,11 @@ pendingCount()
     return graph().nodes.size();
 }
 
-int32_t
-recordUnary(ops::EwUnary k, float param, ValRef a)
+Result
+unary(ops::EwUnary k, float param, ValRef a)
 {
+    if (!recording())
+        return ops::ewUnary(concrete(a), k, param);
     OpGraph &g = graph();
     const int32_t av = internValue(g, a);
     const Value &in = g.values[static_cast<std::size_t>(av)];
@@ -141,9 +154,11 @@ recordUnary(ops::EwUnary k, float param, ValRef a)
     return pushNode(g, std::move(node), std::move(shape), device);
 }
 
-int32_t
-recordBinary(ops::EwBinary k, ValRef a, ValRef b)
+Result
+binary(ops::EwBinary k, ValRef a, ValRef b)
 {
+    if (!recording())
+        return ops::ewBinary(concrete(a), concrete(b), k);
     OpGraph &g = graph();
     const int32_t av = internValue(g, a);
     const int32_t bv = internValue(g, b);
@@ -165,40 +180,28 @@ recordBinary(ops::EwBinary k, ValRef a, ValRef b)
     return pushNode(g, std::move(node), std::move(shape), device);
 }
 
-std::shared_ptr<const std::vector<int64_t>>
-internedIndex(const std::vector<int64_t> &idx)
+Result
+gather(ValRef src, const Index &idx)
 {
-    OpGraph &g = graph();
-    for (const auto &[addr, vec] : g.idxCache) {
-        if (addr == static_cast<const void *>(&idx) &&
-            *vec == idx)
-            return vec;
-    }
-    auto copy = std::make_shared<const std::vector<int64_t>>(idx);
-    g.idxCache.emplace_back(static_cast<const void *>(&idx), copy);
-    return copy;
-}
-
-int32_t
-recordGather(ValRef src, const std::vector<int64_t> &idx)
-{
+    if (!recording())
+        return ops::gatherRows(concrete(src), *idx);
     OpGraph &g = graph();
     const int32_t sv = internValue(g, src);
     const Value &in = g.values[static_cast<std::size_t>(sv)];
     gnnperf_assert(in.shape.size() == 2, "gatherRows on rank ",
                    in.shape.size());
     const int64_t rows = in.shape[0], f = in.shape[1];
-    const int64_t e = static_cast<int64_t>(idx.size());
+    const int64_t e = static_cast<int64_t>(idx->size());
     // Validate at record time: same panic the eager kernel raises at
     // launch time, just earlier.
     for (int64_t i = 0; i < e; ++i) {
-        const int64_t r = idx[static_cast<std::size_t>(i)];
+        const int64_t r = (*idx)[static_cast<std::size_t>(i)];
         gnnperf_assert(r >= 0 && r < rows, "gatherRows: index ", r,
                        " out of ", rows);
     }
     OpNode node;
     node.kind = OpKind::Gather;
-    node.idx = internedIndex(idx);
+    node.idx = idx;
     node.a = sv;
     node.name = "gather_rows";
     node.flops = 0.0;
@@ -206,34 +209,49 @@ recordGather(ValRef src, const std::vector<int64_t> &idx)
     return pushNode(g, std::move(node), {e, f}, in.device);
 }
 
-int32_t
-recordScatterAdd(ValRef src, const std::vector<int64_t> &idx,
-                 int64_t num_rows)
+Result
+scatterAdd(ValRef src, const Index &idx, int64_t num_rows)
 {
+    if (!recording())
+        return ops::scatterAddRows(concrete(src), *idx, num_rows);
     OpGraph &g = graph();
     const int32_t sv = internValue(g, src);
     const Value &in = g.values[static_cast<std::size_t>(sv)];
     gnnperf_assert(in.shape.size() == 2, "scatterAddRows on rank ",
                    in.shape.size());
-    gnnperf_assert(static_cast<int64_t>(idx.size()) == in.shape[0],
-                   "scatterAddRows: ", idx.size(), " indices for ",
+    gnnperf_assert(static_cast<int64_t>(idx->size()) == in.shape[0],
+                   "scatterAddRows: ", idx->size(), " indices for ",
                    in.shape[0], " rows");
     const int64_t f = in.shape[1];
-    for (std::size_t i = 0; i < idx.size(); ++i)
-        gnnperf_assert(idx[i] >= 0 && idx[i] < num_rows,
-                       "scatterAddRows: index ", idx[i], " out of ",
-                       num_rows);
+    for (int64_t r : *idx)
+        gnnperf_assert(r >= 0 && r < num_rows, "scatterAddRows: index ",
+                       r, " out of ", num_rows);
     const double src_bytes =
         static_cast<double>(in.numel()) * sizeof(float);
     OpNode node;
     node.kind = OpKind::ScatterAdd;
-    node.idx = internedIndex(idx);
+    node.idx = idx;
     node.a = sv;
     node.name = "scatter_add";
     node.flops = static_cast<double>(in.numel());
     node.bytes = 2.0 * src_bytes +
                  static_cast<double>(num_rows * f) * sizeof(float);
     return pushNode(g, std::move(node), {num_rows, f}, in.device);
+}
+
+Index
+sharedIndex(const std::vector<int64_t> &idx)
+{
+    if (!recording())
+        return std::make_shared<const std::vector<int64_t>>(idx);
+    OpGraph &g = graph();
+    for (const auto &[addr, vec] : g.idxCache) {
+        if (addr == static_cast<const void *>(&idx) && *vec == idx)
+            return vec;
+    }
+    auto copy = std::make_shared<const std::vector<int64_t>>(idx);
+    g.idxCache.emplace_back(static_cast<const void *>(&idx), copy);
+    return copy;
 }
 
 void

@@ -3,12 +3,12 @@
  * Recorded op-graph IR: the record-then-execute dispatch path.
  *
  * Eager dispatch launches every kernel at call time. In graph mode
- * (`--ir=graph` / `GNNPERF_IR=graph`) the autograd wrappers instead
- * *record* the gather / elementwise / scatter-add launches of one
- * training iteration into an OpGraph (nodes = kernel launches with
- * their cost-model descriptors, edges = tensor def/use) and defer
- * execution until a recorded value is actually read. A flush then
- * runs three phases over the pending segment:
+ * (`--ir=graph` / `GNNPERF_IR=graph`) the gather / elementwise /
+ * scatter-add launches of one training iteration are instead
+ * *recorded* into an OpGraph (nodes = kernel launches with their
+ * cost-model descriptors, edges = tensor def/use) and executed only
+ * when a recorded value is actually read. A flush runs three phases
+ * over the pending segment:
  *
  *   1. fusion (src/ir/fusion.hh): maximal gather→elementwise→scatter
  *      chains collapse into single registered fused launches;
@@ -19,6 +19,11 @@
  *      ThreadPool launch each, singleton nodes replay through the
  *      exact eager `Into` kernels — graph mode is bit-identical to
  *      eager at every thread width.
+ *
+ * The record-or-run choice is made here and nowhere else: the four
+ * entry points unary / binary / gather / scatterAdd return either a
+ * pending slot or the tensor the kernel just produced (ir::Result),
+ * and the autograd wrappers hand that to Var::makeOp unchanged.
  *
  * This layer knows nothing about autograd: consumers hand it shapes,
  * tensors and a type-erased sink per recorded value. The tape
@@ -71,50 +76,67 @@ bool recording();
 std::size_t pendingCount();
 
 /**
- * Reference to an op input: either a value already pending in the
- * recorded graph (slot >= 0) or a concrete tensor. The tensor pointer
- * is only read during the record call itself.
+ * Reference to an op input: its pending slot (-1 once concrete) and
+ * its tensor. For a pending input `tensor` points at the storage the
+ * slot's sink fills, so an op that runs now flushes first and then
+ * reads it. The pointer is only read during the op call itself.
  */
 struct ValRef
 {
     int32_t slot = -1;
     const Tensor *tensor = nullptr;
+};
 
-    static ValRef pending(int32_t s)
+/**
+ * An op's output: a pending slot when the op was recorded, else the
+ * concrete tensor its kernel produced. Converts implicitly from a
+ * Tensor, so ops with no recorded form hand over their result as is.
+ */
+struct Result
+{
+    int32_t slot = -1;
+    Tensor tensor;
+
+    Result(Tensor t) : tensor(std::move(t)) {}
+
+    static Result
+    pending(int32_t s)
     {
-        ValRef r;
+        Result r{Tensor()};
         r.slot = s;
         return r;
     }
 
-    static ValRef concrete(const Tensor &t)
-    {
-        ValRef r;
-        r.tensor = &t;
-        return r;
-    }
+    bool isPending() const { return slot >= 0; }
 };
 
-/** Record out = unary(a); returns the output's pending slot. */
-int32_t recordUnary(ops::EwUnary k, float param, ValRef a);
+/** An index vector shared by a gather/scatter and its backward. */
+using Index = std::shared_ptr<const std::vector<int64_t>>;
 
-/** Record out = a ∘ b (shapes must match). */
-int32_t recordBinary(ops::EwBinary k, ValRef a, ValRef b);
+// The four recordable op families. Each records the op when
+// recording() is true and returns its pending slot; otherwise it runs
+// the kernel now (ops::ewUnary, ewBinary, gatherRows, scatterAddRows)
+// and returns the tensor. This is the only place the choice is made.
+
+/** out = unary(a) elementwise. */
+Result unary(ops::EwUnary k, float param, ValRef a);
+
+/** out = a ∘ b elementwise (shapes must match). */
+Result binary(ops::EwBinary k, ValRef a, ValRef b);
+
+/** out[e] = src[idx[e]]. */
+Result gather(ValRef src, const Index &idx);
+
+/** out[idx[e]] += src[e] into `num_rows` fresh rows. */
+Result scatterAdd(ValRef src, const Index &idx, int64_t num_rows);
 
 /**
- * Record out[e] = src[idx[e]]. The index vector is interned once per
- * iteration (keyed on its address) and shared with the caller, so a
- * backward closure can hold the same copy.
+ * The one copy of `idx` an op and its backward closure share. When
+ * recording it is interned per segment (keyed on the vector's
+ * address), so every op on the same vector holds the same copy;
+ * otherwise it is a fresh copy.
  */
-int32_t recordGather(ValRef src, const std::vector<int64_t> &idx);
-
-/** Record out[idx[e]] += src[e] into `num_rows` fresh rows. */
-int32_t recordScatterAdd(ValRef src, const std::vector<int64_t> &idx,
-                         int64_t num_rows);
-
-/** The interned copy of the last index vector passed for `idx`. */
-std::shared_ptr<const std::vector<int64_t>>
-internedIndex(const std::vector<int64_t> &idx);
+Index sharedIndex(const std::vector<int64_t> &idx);
 
 /**
  * Attach the consumer's completion callback to a pending slot; called

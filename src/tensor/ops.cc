@@ -1,8 +1,10 @@
 #include "tensor/ops.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -42,75 +44,88 @@ checkSameShape(const Tensor &a, const Tensor &b, const char *op)
                    a.describe(), " vs ", b.describe());
 }
 
+/** out[i] = f(a[i]) for i in [0, n). */
 template <typename F>
-Tensor
-binaryOp(const Tensor &a, const Tensor &b, const char *name, F f)
+inline void
+rowLoop(const float *a, float *out, int64_t n, F f)
 {
-    checkSameShape(a, b, name);
-    Tensor out(a.shape(), a.device());
-    const float *pa = a.data();
-    const float *pb = b.data();
-    float *po = out.data();
-    const int64_t n = a.numel();
-    // Elementwise: disjoint output ranges, trivially deterministic.
-    par::parallelFor("par.binary_op", 0, n, kElemGrain,
-                     [&](int64_t b2, int64_t e2, int) {
-                         for (int64_t i = b2; i < e2; ++i)
-                             po[i] = f(pa[i], pb[i]);
-                     });
-    recordElementwise(name, n, 1.0, 3.0);
-    return out;
+    for (int64_t i = 0; i < n; ++i)
+        out[i] = f(a[i]);
 }
 
+/** out[i] = f(a[i], b[i]) for i in [0, n). */
 template <typename F>
-Tensor
-unaryOp(const Tensor &a, const char *name, F f, double flops = 1.0)
+inline void
+rowLoop(const float *a, const float *b, float *out, int64_t n, F f)
 {
-    Tensor out(a.shape(), a.device());
-    const float *pa = a.data();
-    float *po = out.data();
-    const int64_t n = a.numel();
-    par::parallelFor("par.unary_op", 0, n, kElemGrain,
-                     [&](int64_t b, int64_t e, int) {
-                         for (int64_t i = b; i < e; ++i)
-                             po[i] = f(pa[i]);
-                     });
-    recordElementwise(name, n, flops, 2.0);
-    return out;
+    for (int64_t i = 0; i < n; ++i)
+        out[i] = f(a[i], b[i]);
 }
+
+/**
+ * c ? t : f as a bit select, so GCC vectorizes it: with a plain `?:`
+ * it sinks the multiply feeding `f` into a branch and, since the
+ * multiply may trap, keeps the loop scalar.
+ */
+inline float
+select(bool c, float t, float f)
+{
+    const uint32_t mask = 0u - static_cast<uint32_t>(c);
+    return std::bit_cast<float>((std::bit_cast<uint32_t>(t) & mask) |
+                                (std::bit_cast<uint32_t>(f) & ~mask));
+}
+
+/** Registered name and per-element FLOPs of a kind. */
+struct KindInfo
+{
+    const char *name;
+    double flops;
+};
+
+/** Indexed by EwUnary, in declaration order. */
+constexpr KindInfo kUnaryInfo[] = {
+    {"scale", 1.0}, {"add_scalar", 1.0}, {"relu", 1.0},
+    {"sigmoid", 4.0}, {"tanh", 4.0}, {"elu", 3.0},
+    {"leaky_relu", 1.0}, {"exp", 4.0}, {"log", 4.0},
+    {"sqrt", 2.0}, {"square", 1.0}, {"reciprocal", 2.0},
+};
+
+/** Indexed by EwBinary, in declaration order. */
+constexpr KindInfo kBinaryInfo[] = {
+    {"add", 1.0}, {"sub", 1.0}, {"mul", 1.0}, {"div", 1.0},
+    {"maximum", 1.0}, {"relu_bwd", 1.0}, {"sigmoid_bwd", 3.0},
+    {"tanh_bwd", 3.0}, {"leaky_relu_bwd", 1.0},
+};
+
+static_assert(std::size(kUnaryInfo) ==
+              static_cast<std::size_t>(EwUnary::Reciprocal) + 1);
+static_assert(std::size(kBinaryInfo) ==
+              static_cast<std::size_t>(EwBinary::LeakyReluGrad) + 1);
 
 } // namespace
 
 Tensor
 add(const Tensor &a, const Tensor &b)
 {
-    return binaryOp(a, b, "add", [](float x, float y) {
-        return ewBinaryApply(EwBinary::Add, x, y);
-    });
+    return ewBinary(a, b, EwBinary::Add);
 }
 
 Tensor
 sub(const Tensor &a, const Tensor &b)
 {
-    return binaryOp(a, b, "sub", [](float x, float y) {
-        return ewBinaryApply(EwBinary::Sub, x, y);
-    });
+    return ewBinary(a, b, EwBinary::Sub);
 }
 
 Tensor
 mul(const Tensor &a, const Tensor &b)
 {
-    return binaryOp(a, b, "mul", [](float x, float y) {
-        return ewBinaryApply(EwBinary::Mul, x, y);
-    });
+    return ewBinary(a, b, EwBinary::Mul);
 }
 
 Tensor
 div(const Tensor &a, const Tensor &b)
 {
-    return binaryOp(a, b, "div", [](float x, float y) {
-        return ewBinaryApply(EwBinary::Div, x, y);
-    });
+    return ewBinary(a, b, EwBinary::Div);
 }
 
 Tensor
@@ -131,6 +146,27 @@ addRows(const Tensor &a, const Tensor &b)
                                  po[i * f + j] = pa[i * f + j] + pb[j];
                      });
     recordElementwise("add_bias", n * f, 1.0, 2.0);
+    return out;
+}
+
+Tensor
+mulRows(const Tensor &a, const Tensor &b, const char *name)
+{
+    gnnperf_assert(a.rank() == 2 && b.rank() == 1 &&
+                   a.dim(1) == b.dim(0),
+                   name, ": ", a.describe(), " * ", b.describe());
+    Tensor out(a.shape(), a.device());
+    const int64_t n = a.dim(0), f = a.dim(1);
+    const float *pa = a.data();
+    const float *pb = b.data();
+    float *po = out.data();
+    par::parallelFor("par.mul_rows", 0, n, rowGrain(f),
+                     [&](int64_t ib, int64_t ie, int) {
+                         for (int64_t i = ib; i < ie; ++i)
+                             for (int64_t j = 0; j < f; ++j)
+                                 po[i * f + j] = pa[i * f + j] * pb[j];
+                     });
+    recordElementwise(name, n * f, 1.0, 2.0);
     return out;
 }
 
@@ -213,90 +249,95 @@ addScaledInPlace(Tensor &a, const Tensor &b, float s)
 Tensor
 scale(const Tensor &a, float s)
 {
-    return unaryOp(a, "scale", [s](float x) {
-        return ewUnaryApply(EwUnary::Scale, x, s);
-    });
+    return ewUnary(a, EwUnary::Scale, s);
 }
 
 Tensor
 addScalar(const Tensor &a, float s)
 {
-    return unaryOp(a, "add_scalar", [s](float x) {
-        return ewUnaryApply(EwUnary::AddScalar, x, s);
-    });
+    return ewUnary(a, EwUnary::AddScalar, s);
 }
 
 Tensor
 relu(const Tensor &a)
 {
-    return unaryOp(a, "relu", [](float x) {
-        return ewUnaryApply(EwUnary::Relu, x, 0.0f);
-    });
+    return ewUnary(a, EwUnary::Relu);
 }
 
 Tensor
 sigmoid(const Tensor &a)
 {
-    return unaryOp(a, "sigmoid", [](float x) {
-        return ewUnaryApply(EwUnary::Sigmoid, x, 0.0f);
-    }, 4.0);
+    return ewUnary(a, EwUnary::Sigmoid);
 }
 
 Tensor
 tanhT(const Tensor &a)
 {
-    return unaryOp(a, "tanh", [](float x) {
-        return ewUnaryApply(EwUnary::Tanh, x, 0.0f);
-    }, 4.0);
+    return ewUnary(a, EwUnary::Tanh);
 }
 
 Tensor
 elu(const Tensor &a, float alpha)
 {
-    return unaryOp(a, "elu", [alpha](float x) {
-        return ewUnaryApply(EwUnary::Elu, x, alpha);
-    }, 3.0);
+    return ewUnary(a, EwUnary::Elu, alpha);
 }
 
 Tensor
 leakyRelu(const Tensor &a, float slope)
 {
-    return unaryOp(a, "leaky_relu", [slope](float x) {
-        return ewUnaryApply(EwUnary::LeakyRelu, x, slope);
-    });
+    return ewUnary(a, EwUnary::LeakyRelu, slope);
 }
 
 Tensor
 expT(const Tensor &a)
 {
-    return unaryOp(a, "exp", [](float x) {
-        return ewUnaryApply(EwUnary::Exp, x, 0.0f);
-    }, 4.0);
+    return ewUnary(a, EwUnary::Exp);
 }
 
 Tensor
 logT(const Tensor &a)
 {
-    return unaryOp(a, "log", [](float x) { return std::log(x); }, 4.0);
+    return ewUnary(a, EwUnary::Log);
 }
 
 Tensor
 sqrtT(const Tensor &a)
 {
-    return unaryOp(a, "sqrt", [](float x) { return std::sqrt(x); }, 2.0);
+    return ewUnary(a, EwUnary::Sqrt);
 }
 
 Tensor
 square(const Tensor &a)
 {
-    return unaryOp(a, "square", [](float x) { return x * x; });
+    return ewUnary(a, EwUnary::Square);
 }
 
 Tensor
 reciprocal(const Tensor &a, float eps)
 {
-    return unaryOp(a, "reciprocal",
-                   [eps](float x) { return 1.0f / (x + eps); }, 2.0);
+    return ewUnary(a, EwUnary::Reciprocal, eps);
+}
+
+Tensor
+eluGrad(const Tensor &g, const Tensor &x, const Tensor &y, float alpha)
+{
+    checkSameShape(g, x, "elu_bwd");
+    checkSameShape(g, y, "elu_bwd");
+    Tensor out(g.shape(), g.device());
+    const float *pg = g.data();
+    const float *px = x.data();
+    const float *py = y.data();
+    float *po = out.data();
+    par::parallelFor("par.elu_bwd", 0, g.numel(), kElemGrain,
+                     [&](int64_t b, int64_t e, int) {
+                         for (int64_t i = b; i < e; ++i) {
+                             const float d =
+                                 px[i] > 0.0f ? 1.0f : py[i] + alpha;
+                             po[i] = pg[i] * d;
+                         }
+                     });
+    recordElementwise("elu_bwd", g.numel(), 2.0, 3.0);
+    return out;
 }
 
 Tensor
@@ -587,62 +628,103 @@ scatterAddRows(const Tensor &src, const std::vector<int64_t> &idx,
 const char *
 ewUnaryName(EwUnary k)
 {
-    switch (k) {
-      case EwUnary::Scale:
-        return "scale";
-      case EwUnary::AddScalar:
-        return "add_scalar";
-      case EwUnary::Relu:
-        return "relu";
-      case EwUnary::Sigmoid:
-        return "sigmoid";
-      case EwUnary::Tanh:
-        return "tanh";
-      case EwUnary::Elu:
-        return "elu";
-      case EwUnary::LeakyRelu:
-        return "leaky_relu";
-      case EwUnary::Exp:
-        return "exp";
-    }
-    return "?";
+    return kUnaryInfo[static_cast<std::size_t>(k)].name;
 }
 
 const char *
 ewBinaryName(EwBinary k)
 {
-    switch (k) {
-      case EwBinary::Add:
-        return "add";
-      case EwBinary::Sub:
-        return "sub";
-      case EwBinary::Mul:
-        return "mul";
-      case EwBinary::Div:
-        return "div";
-    }
-    return "?";
+    return kBinaryInfo[static_cast<std::size_t>(k)].name;
 }
 
 double
 ewUnaryFlops(EwUnary k)
 {
-    switch (k) {
-      case EwUnary::Sigmoid:
-      case EwUnary::Tanh:
-      case EwUnary::Exp:
-        return 4.0;
-      case EwUnary::Elu:
-        return 3.0;
-      default:
-        return 1.0;
-    }
+    return kUnaryInfo[static_cast<std::size_t>(k)].flops;
 }
 
 double
-ewBinaryFlops(EwBinary)
+ewBinaryFlops(EwBinary k)
 {
-    return 1.0;
+    return kBinaryInfo[static_cast<std::size_t>(k)].flops;
+}
+
+void
+ewUnaryRow(EwUnary k, float p, const float *a, float *out, int64_t n)
+{
+    switch (k) {
+      case EwUnary::Scale:
+        return rowLoop(a, out, n, [p](float x) { return p * x; });
+      case EwUnary::AddScalar:
+        return rowLoop(a, out, n, [p](float x) { return x + p; });
+      case EwUnary::Relu:
+        return rowLoop(a, out, n,
+                       [](float x) { return x > 0.0f ? x : 0.0f; });
+      case EwUnary::Sigmoid:
+        return rowLoop(a, out, n, [](float x) {
+            return 1.0f / (1.0f + std::exp(-x));
+        });
+      case EwUnary::Tanh:
+        return rowLoop(a, out, n, [](float x) { return std::tanh(x); });
+      case EwUnary::Elu:
+        return rowLoop(a, out, n, [p](float x) {
+            return x > 0.0f ? x : p * (std::exp(x) - 1.0f);
+        });
+      case EwUnary::LeakyRelu:
+        return rowLoop(a, out, n, [p](float x) {
+            return select(x > 0.0f, x, p * x);
+        });
+      case EwUnary::Exp:
+        return rowLoop(a, out, n, [](float x) { return std::exp(x); });
+      case EwUnary::Log:
+        return rowLoop(a, out, n, [](float x) { return std::log(x); });
+      case EwUnary::Sqrt:
+        return rowLoop(a, out, n, [](float x) { return std::sqrt(x); });
+      case EwUnary::Square:
+        return rowLoop(a, out, n, [](float x) { return x * x; });
+      case EwUnary::Reciprocal:
+        return rowLoop(a, out, n,
+                       [p](float x) { return 1.0f / (x + p); });
+    }
+}
+
+void
+ewBinaryRow(EwBinary k, float p, const float *a, const float *b,
+            float *out, int64_t n)
+{
+    switch (k) {
+      case EwBinary::Add:
+        return rowLoop(a, b, out, n,
+                       [](float x, float y) { return x + y; });
+      case EwBinary::Sub:
+        return rowLoop(a, b, out, n,
+                       [](float x, float y) { return x - y; });
+      case EwBinary::Mul:
+        return rowLoop(a, b, out, n,
+                       [](float x, float y) { return x * y; });
+      case EwBinary::Div:
+        return rowLoop(a, b, out, n,
+                       [](float x, float y) { return x / y; });
+      case EwBinary::Maximum:
+        return rowLoop(a, b, out, n,
+                       [](float x, float y) { return x > y ? x : y; });
+      case EwBinary::ReluGrad:
+        return rowLoop(a, b, out, n, [](float g, float x) {
+            return x > 0.0f ? g : 0.0f;
+        });
+      case EwBinary::SigmoidGrad:
+        return rowLoop(a, b, out, n, [](float g, float y) {
+            return g * y * (1.0f - y);
+        });
+      case EwBinary::TanhGrad:
+        return rowLoop(a, b, out, n, [](float g, float y) {
+            return g * (1.0f - y * y);
+        });
+      case EwBinary::LeakyReluGrad:
+        return rowLoop(a, b, out, n, [p](float g, float x) {
+            return select(x > 0.0f, g, p * g);
+        });
+    }
 }
 
 void
@@ -654,14 +736,14 @@ ewUnaryInto(Tensor &out, const Tensor &a, EwUnary k, float p)
     const int64_t n = a.numel();
     par::parallelFor("par.unary_op", 0, n, kElemGrain,
                      [&](int64_t b, int64_t e, int) {
-                         for (int64_t i = b; i < e; ++i)
-                             po[i] = ewUnaryApply(k, pa[i], p);
+                         ewUnaryRow(k, p, pa + b, po + b, e - b);
                      });
     recordElementwise(ewUnaryName(k), n, ewUnaryFlops(k), 2.0);
 }
 
 void
-ewBinaryInto(Tensor &out, const Tensor &a, const Tensor &b, EwBinary k)
+ewBinaryInto(Tensor &out, const Tensor &a, const Tensor &b, EwBinary k,
+             float p)
 {
     checkSameShape(a, b, ewBinaryName(k));
     checkSameShape(out, a, ewBinaryName(k));
@@ -671,10 +753,26 @@ ewBinaryInto(Tensor &out, const Tensor &a, const Tensor &b, EwBinary k)
     const int64_t n = a.numel();
     par::parallelFor("par.binary_op", 0, n, kElemGrain,
                      [&](int64_t b2, int64_t e2, int) {
-                         for (int64_t i = b2; i < e2; ++i)
-                             po[i] = ewBinaryApply(k, pa[i], pb[i]);
+                         ewBinaryRow(k, p, pa + b2, pb + b2, po + b2,
+                                     e2 - b2);
                      });
     recordElementwise(ewBinaryName(k), n, ewBinaryFlops(k), 3.0);
+}
+
+Tensor
+ewUnary(const Tensor &a, EwUnary k, float p)
+{
+    Tensor out(a.shape(), a.device());
+    ewUnaryInto(out, a, k, p);
+    return out;
+}
+
+Tensor
+ewBinary(const Tensor &a, const Tensor &b, EwBinary k, float p)
+{
+    Tensor out(a.shape(), a.device());
+    ewBinaryInto(out, a, b, k, p);
+    return out;
 }
 
 void
@@ -790,8 +888,7 @@ l2NormalizeRows(const Tensor &a, float eps)
 Tensor
 maximum(const Tensor &a, const Tensor &b)
 {
-    return binaryOp(a, b, "maximum",
-                    [](float x, float y) { return x > y ? x : y; });
+    return ewBinary(a, b, EwBinary::Maximum);
 }
 
 Tensor

@@ -7,14 +7,19 @@
  * how the timing model learns what a GPU deployment would have
  * executed. Autograd wrappers (autograd/functions.hh) compose these.
  *
- * Naming note: `xxxInto` variants write into a preallocated output and
- * are used by the optimizer's in-place updates.
+ * Elementwise kernels have one code path: a per-kind row core
+ * (ewUnaryRow / ewBinaryRow) that the eager entry points, the `Into`
+ * variants used by the recorded-IR executor (src/ir) and its fused
+ * row launches all call, so graph mode is bit-identical to eager.
+ *
+ * Naming note: `xxxInto` variants write into a preallocated output;
+ * they serve the recorded-IR executor, whose memory planner places
+ * the output before the launch.
  */
 
 #ifndef GNNPERF_TENSOR_OPS_HH
 #define GNNPERF_TENSOR_OPS_HH
 
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -24,81 +29,77 @@ namespace gnnperf {
 namespace ops {
 
 // ----- elementwise kinds ---------------------------------------------------
-//
-// The recorded-IR layer (src/ir) replays and fuses elementwise kernels,
-// so the per-element math is single-sourced here: the eager wrappers,
-// the `Into` replay variants and the fused launches all inline the same
-// expressions, which is what makes graph mode bit-identical to eager.
 
-/** Unary elementwise kernels (param: scale s, added s, elu α, slope). */
+/**
+ * Unary elementwise kinds. The float parameter `p` is the factor of
+ * Scale, the addend of AddScalar, ELU's α, LeakyRelu's slope and
+ * Reciprocal's ε; the other kinds ignore it.
+ */
 enum class EwUnary
 {
-    Scale,
-    AddScalar,
+    Scale,      ///< p * x
+    AddScalar,  ///< x + p
     Relu,
     Sigmoid,
     Tanh,
     Elu,
     LeakyRelu,
     Exp,
+    Log,
+    Sqrt,
+    Square,
+    Reciprocal, ///< 1 / (x + p)
 };
 
-/** Binary elementwise kernels. */
+/**
+ * Binary elementwise kinds, out = f(x, y). The gradient kinds take the
+ * upstream gradient as x and the saved forward tensor as y: the input
+ * for ReluGrad and LeakyReluGrad (slope p), the output for SigmoidGrad
+ * and TanhGrad.
+ */
 enum class EwBinary
 {
     Add,
     Sub,
     Mul,
     Div,
+    Maximum,
+    ReluGrad,
+    SigmoidGrad,
+    TanhGrad,
+    LeakyReluGrad,
 };
-
-inline float
-ewUnaryApply(EwUnary k, float x, float p)
-{
-    switch (k) {
-      case EwUnary::Scale:
-        return p * x;
-      case EwUnary::AddScalar:
-        return x + p;
-      case EwUnary::Relu:
-        return x > 0.0f ? x : 0.0f;
-      case EwUnary::Sigmoid:
-        return 1.0f / (1.0f + std::exp(-x));
-      case EwUnary::Tanh:
-        return std::tanh(x);
-      case EwUnary::Elu:
-        return x > 0.0f ? x : p * (std::exp(x) - 1.0f);
-      case EwUnary::LeakyRelu:
-        return x > 0.0f ? x : p * x;
-      case EwUnary::Exp:
-        return std::exp(x);
-    }
-    return x;
-}
-
-inline float
-ewBinaryApply(EwBinary k, float x, float y)
-{
-    switch (k) {
-      case EwBinary::Add:
-        return x + y;
-      case EwBinary::Sub:
-        return x - y;
-      case EwBinary::Mul:
-        return x * y;
-      case EwBinary::Div:
-        return x / y;
-    }
-    return x;
-}
 
 /** Registered kernel name for an elementwise kind. */
 const char *ewUnaryName(EwUnary k);
 const char *ewBinaryName(EwBinary k);
 
-/** Per-element FLOP cost, matching the eager wrappers' records. */
+/** Per-element FLOP cost recorded for the kind. */
 double ewUnaryFlops(EwUnary k);
 double ewBinaryFlops(EwBinary k);
+
+/**
+ * The elementwise row core: out[i] = f(a[i]) (or f(a[i], b[i])) for
+ * i in [0, n). Switches on the kind once, then runs that kind's loop.
+ * Every elementwise launch — eager, replayed or fused — goes through
+ * these two functions.
+ */
+void ewUnaryRow(EwUnary k, float p, const float *a, float *out,
+                int64_t n);
+void ewBinaryRow(EwBinary k, float p, const float *a, const float *b,
+                 float *out, int64_t n);
+
+/** out = unary(a) elementwise; out must match a's shape. */
+void ewUnaryInto(Tensor &out, const Tensor &a, EwUnary k, float p);
+
+/** out = a ∘ b elementwise; all three shapes must match. */
+void ewBinaryInto(Tensor &out, const Tensor &a, const Tensor &b,
+                  EwBinary k, float p = 0.0f);
+
+/** Allocate the output, then ewUnaryInto / ewBinaryInto. */
+Tensor ewUnary(const Tensor &a, EwUnary k, float p = 0.0f);
+Tensor ewBinary(const Tensor &a, const Tensor &b, EwBinary k,
+                float p = 0.0f);
 
 // ----- elementwise binary ------------------------------------------------
 
@@ -116,6 +117,12 @@ Tensor div(const Tensor &a, const Tensor &b);
 
 /** c[i,j] = a[i,j] + b[j]  — row-broadcast add (bias). */
 Tensor addRows(const Tensor &a, const Tensor &b);
+
+/**
+ * c[i,j] = a[i,j] * b[j]  — row-broadcast multiply, recorded as
+ * `name` (mul_rowvec, or mul_rowvec_bwd for its input gradient).
+ */
+Tensor mulRows(const Tensor &a, const Tensor &b, const char *name);
 
 /** c[i,j] = a[i,j] * b[i]  — column-broadcast multiply. */
 Tensor mulCols(const Tensor &a, const Tensor &b);
@@ -147,6 +154,14 @@ Tensor logT(const Tensor &a);
 Tensor sqrtT(const Tensor &a);
 Tensor square(const Tensor &a);
 Tensor reciprocal(const Tensor &a, float eps = 0.0f);
+
+/**
+ * ELU input gradient g * (x > 0 ? 1 : y + α) from the input x and the
+ * output y. Three operands, so it keeps its own loop beside the
+ * binary core.
+ */
+Tensor eluGrad(const Tensor &g, const Tensor &x, const Tensor &y,
+               float alpha);
 
 // ----- reductions ----------------------------------------------------------
 
@@ -200,20 +215,13 @@ Tensor gatherRows(const Tensor &a, const std::vector<int64_t> &idx);
 Tensor scatterAddRows(const Tensor &src, const std::vector<int64_t> &idx,
                       int64_t num_rows);
 
-// ----- preallocated-output (`Into`) replay variants ------------------------
+// ----- preallocated-output (`Into`) variants -----------------------------
 //
 // Used by the recorded-IR executor (src/ir/executor.cc): the memory
 // planner preallocates `out` ahead of the launch, and each variant runs
 // the exact eager kernel — same parallelFor launch name, grain and
 // KernelRecord — into it, so an unfused replayed node is
 // indistinguishable from its eager counterpart.
-
-/** out = unary(a) elementwise; out must match a's shape. */
-void ewUnaryInto(Tensor &out, const Tensor &a, EwUnary k, float p);
-
-/** out = a ∘ b elementwise; all three shapes must match. */
-void ewBinaryInto(Tensor &out, const Tensor &a, const Tensor &b,
-                  EwBinary k);
 
 /** out[e] = a[idx[e]]; out must be [idx.size(), a.dim(1)]. */
 void gatherRowsInto(Tensor &out, const Tensor &a,

@@ -271,6 +271,32 @@ TEST(Env, EpochKnobHonoursScale)
     ::unsetenv("GNNPERF_SCALE");
 }
 
+TEST(Env, RangedKnobsAcceptTheirBounds)
+{
+    ::setenv("GNNPERF_EPOCHS", "100000", 1);
+    EXPECT_EQ(envEpochs(10, 200), 100000);
+    ::setenv("GNNPERF_SEEDS", "1", 1);
+    EXPECT_EQ(envSeeds(2, 4), 1);
+    ::setenv("GNNPERF_FOLDS", "10", 1);
+    EXPECT_EQ(envFolds(2, 10), 10);
+    ::unsetenv("GNNPERF_EPOCHS");
+    ::unsetenv("GNNPERF_SEEDS");
+    ::unsetenv("GNNPERF_FOLDS");
+}
+
+TEST(EnvDeathTest, ZeroEpochsIsFatalAndNamesTheRange)
+{
+    // 0 would reach the trainer, where it selects the paper's full
+    // 200/1000-epoch budget.
+    ::setenv("GNNPERF_EPOCHS", "0", 1);
+    EXPECT_DEATH(envEpochs(10, 200),
+                 "GNNPERF_EPOCHS=0: outside \\[1, 100000\\]");
+    ::unsetenv("GNNPERF_EPOCHS");
+    ::setenv("GNNPERF_FOLDS", "11", 1);
+    EXPECT_DEATH(envFolds(2, 10), "GNNPERF_FOLDS=11: outside");
+    ::unsetenv("GNNPERF_FOLDS");
+}
+
 TEST(Fs, EnsureDirCreatesNestedAndIsIdempotent)
 {
     const std::string root = ::testing::TempDir() + "gnnperf_fs_test";

@@ -247,7 +247,7 @@ checkKernelNames(const std::string &file, const std::string &text,
 {
     static const std::regex call_re(
         "(?:recordKernel|recordGemm|recordSpmm|recordElementwise|"
-        "binaryOp|unaryOp|segmentReduce|segmentBroadcast)\\s*\\("
+        "segmentReduce|segmentBroadcast)\\s*\\("
         "[^\")]*\"([A-Za-z0-9_.]+)\"");
     for (auto it = std::sregex_iterator(text.begin(), text.end(),
                                         call_re);
