@@ -227,20 +227,99 @@ BENCHMARK_CAPTURE(BM_AggregateAllocator, direct,
 BENCHMARK_CAPTURE(BM_AggregateAllocator, caching,
                   AllocatorKind::Caching);
 
+/** The three products of the GEMM core (tensor/matmul.hh). */
+enum class GemmKind
+{
+    NN,  ///< ops::matmul: A·B
+    TN,  ///< ops::matmulTransA: Aᵀ·B, the weight gradient
+    NT,  ///< ops::matmulTransB: A·Bᵀ, the input gradient
+};
+
+/**
+ * C[rows, cols] over `depth`, with A (rows × depth in the product's
+ * view) nonzero at `density_pct` percent, as bag-of-words features
+ * are. Items processed are multiply-adds × 2.
+ */
+void
+runSgemm(benchmark::State &state, GemmKind kind, int64_t rows,
+         int64_t depth, int64_t cols, int density_pct)
+{
+    Rng rng(4);
+    Tensor a = kind == GemmKind::TN
+                   ? init::normal({depth, rows}, 0.0f, 1.0f, rng)
+                   : init::normal({rows, depth}, 0.0f, 1.0f, rng);
+    if (density_pct < 100)
+        for (int64_t i = 0; i < a.numel(); ++i)
+            if (!rng.bernoulli(density_pct / 100.0))
+                a.set(i, 0.0f);
+    const Tensor b = kind == GemmKind::NT
+                         ? init::normal({cols, depth}, 0.0f, 1.0f, rng)
+                         : init::normal({depth, cols}, 0.0f, 1.0f, rng);
+    for (auto _ : state) {
+        Tensor c = kind == GemmKind::NN   ? ops::matmul(a, b)
+                   : kind == GemmKind::TN ? ops::matmulTransA(a, b)
+                                          : ops::matmulTransB(a, b);
+        benchmark::DoNotOptimize(c.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * 2 * rows * depth * cols);
+    state.SetLabel(ops::gemmIsa());
+}
+
+/** Square n×n·n×n products. */
 void
 BM_Sgemm(benchmark::State &state)
 {
     const int64_t n = state.range(0);
-    Rng rng(4);
-    Tensor a = init::normal({n, n}, 0.0f, 1.0f, rng);
-    Tensor b = init::normal({n, n}, 0.0f, 1.0f, rng);
-    for (auto _ : state) {
-        Tensor c = ops::matmul(a, b);
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
+    runSgemm(state, GemmKind::NN, n, n, n, 100);
 }
 BENCHMARK(BM_Sgemm)->Arg(64)->Arg(256);
+
+void
+BM_SgemmTN(benchmark::State &state)
+{
+    const int64_t n = state.range(0);
+    runSgemm(state, GemmKind::TN, n, n, n, 100);
+}
+BENCHMARK(BM_SgemmTN)->Arg(64)->Arg(256);
+
+void
+BM_SgemmNT(benchmark::State &state)
+{
+    const int64_t n = state.range(0);
+    runSgemm(state, GemmKind::NT, n, n, n, 100);
+}
+BENCHMARK(BM_SgemmNT)->Arg(64)->Arg(256);
+
+/**
+ * The measured workloads' shapes. GatedGCN's edge layer: 16384 edges
+ * × 96 features through a 96×96 weight, forward (NN), input gradient
+ * (NT) and weight gradient (TN). PubMed GAT's first layer: 19717
+ * nodes × 500 bag-of-words features, 5% nonzero, through 500×256
+ * forward (NN) and its weight gradient (TN), which the sparse route
+ * serves.
+ */
+void
+BM_SgemmShape(benchmark::State &state, GemmKind kind, int64_t rows,
+              int64_t depth, int64_t cols, int density_pct)
+{
+    runSgemm(state, kind, rows, depth, cols, density_pct);
+}
+BENCHMARK_CAPTURE(BM_SgemmShape, gatedgcn_nn, GemmKind::NN, 16384, 96, 96,
+                  100)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SgemmShape, gatedgcn_nt, GemmKind::NT, 16384, 96, 96,
+                  100)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SgemmShape, gatedgcn_tn, GemmKind::TN, 96, 16384, 96,
+                  100)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SgemmShape, pubmed_nn, GemmKind::NN, 19717, 500, 256,
+                  5)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SgemmShape, pubmed_tn, GemmKind::TN, 500, 19717, 256,
+                  5)
+    ->Unit(benchmark::kMillisecond);
 
 /**
  * Thread-scaling series: per kernel, wall-clock best-of-5 at each pool

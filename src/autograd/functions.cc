@@ -347,20 +347,10 @@ sliceCols(const Var &a, int64_t begin, int64_t end)
     const int64_t f = a.dim(1);
     return Var::makeOp("slice_cols",
         ops::sliceCols(a.value(), begin, end), {a},
-        [begin, end, f](Node &n) {
-            if (!n.inputs[0]->requiresGrad)
-                return;
-            const Tensor &g = n.grad;
-            Tensor full = Tensor::zeros({g.dim(0), f}, g.device());
-            const int64_t w = end - begin;
-            const float *pg = g.data();
-            float *pf = full.data();
-            for (int64_t i = 0; i < g.dim(0); ++i)
-                for (int64_t j = 0; j < w; ++j)
-                    pf[i * f + begin + j] = pg[i * w + j];
-            recordKernel("slice_cols_bwd", 0.0,
-                         2.0 * static_cast<double>(g.bytes()));
-            n.inputs[0]->accumulateGrad(full);
+        [begin, f](Node &n) {
+            if (n.inputs[0]->requiresGrad)
+                n.inputs[0]->accumulateGrad(
+                    ops::sliceColsGrad(n.grad, f, begin));
         });
 }
 
@@ -410,20 +400,8 @@ sumCols(const Var &a)
     const int64_t f = a.dim(1);
     return Var::makeOp("row_sum", ops::sumCols(a.value()), {a},
         [f](Node &n) {
-            if (!n.inputs[0]->requiresGrad)
-                return;
-            // Broadcast the per-row gradient back across columns.
-            const Tensor &g = n.grad;
-            const int64_t rows = g.dim(0);
-            Tensor out({rows, f}, g.device());
-            const float *pg = g.data();
-            float *po = out.data();
-            for (int64_t i = 0; i < rows; ++i)
-                for (int64_t j = 0; j < f; ++j)
-                    po[i * f + j] = pg[i];
-            recordKernel("row_sum_bwd", 0.0,
-                         2.0 * static_cast<double>(out.bytes()));
-            n.inputs[0]->accumulateGrad(out);
+            if (n.inputs[0]->requiresGrad)
+                n.inputs[0]->accumulateGrad(ops::sumColsGrad(n.grad, f));
         });
 }
 

@@ -8,7 +8,8 @@
  * against a known build. This module owns one shared `meta` block —
  * git describe, compiler id, build type, sanitizer flags — plus
  * runtime facts pushed by the subsystems that know them (thread-pool
- * width, active allocator), and renders it as a JSON object whose
+ * width, active allocator, the GEMM core's dispatched ISA as
+ * `gemm_isa`), and renders it as a JSON object whose
  * values are all *strings*, so obs/diff.hh (which flattens numeric
  * leaves only) never gates on provenance.
  *

@@ -575,6 +575,46 @@ sliceCols(const Tensor &a, int64_t begin, int64_t end)
 }
 
 Tensor
+sliceColsGrad(const Tensor &g, int64_t f, int64_t begin)
+{
+    gnnperf_assert(g.rank() == 2 && begin >= 0 && begin + g.dim(1) <= f,
+                   "slice_cols_bwd: ", g.describe(), " into ", f,
+                   " columns at ", begin);
+    const int64_t n = g.dim(0), w = g.dim(1);
+    Tensor full = Tensor::zeros({n, f}, g.device());
+    const float *pg = g.data();
+    float *pf = full.data();
+    par::parallelFor("par.slice_cols_bwd", 0, n, rowGrain(f),
+                     [&](int64_t ib, int64_t ie, int) {
+                         for (int64_t i = ib; i < ie; ++i)
+                             for (int64_t j = 0; j < w; ++j)
+                                 pf[i * f + begin + j] = pg[i * w + j];
+                     });
+    recordKernel("slice_cols_bwd", 0.0,
+                 2.0 * static_cast<double>(g.bytes()));
+    return full;
+}
+
+Tensor
+sumColsGrad(const Tensor &g, int64_t f)
+{
+    gnnperf_assert(g.rank() == 1, "row_sum_bwd: ", g.describe());
+    const int64_t n = g.dim(0);
+    Tensor out({n, f}, g.device());
+    const float *pg = g.data();
+    float *po = out.data();
+    par::parallelFor("par.row_sum_bwd", 0, n, rowGrain(f),
+                     [&](int64_t ib, int64_t ie, int) {
+                         for (int64_t i = ib; i < ie; ++i)
+                             for (int64_t j = 0; j < f; ++j)
+                                 po[i * f + j] = pg[i];
+                     });
+    recordKernel("row_sum_bwd", 0.0,
+                 2.0 * static_cast<double>(out.bytes()));
+    return out;
+}
+
+Tensor
 sliceRows(const Tensor &a, int64_t begin, int64_t end)
 {
     gnnperf_assert(a.rank() == 2 && begin >= 0 && end <= a.dim(0) &&

@@ -202,6 +202,18 @@ Tensor concatCols(const Tensor &a, const Tensor &b);
 /** Take columns [begin, end) of a rank-2 tensor. */
 Tensor sliceCols(const Tensor &a, int64_t begin, int64_t end);
 
+/**
+ * Gradient of sliceCols: g [N, W] written into columns [begin,
+ * begin + W) of a zero [N, f] tensor, recorded as slice_cols_bwd.
+ */
+Tensor sliceColsGrad(const Tensor &g, int64_t f, int64_t begin);
+
+/**
+ * Gradient of sumCols: the per-row g [N] broadcast across f columns,
+ * recorded as row_sum_bwd.
+ */
+Tensor sumColsGrad(const Tensor &g, int64_t f);
+
 /** Take rows [begin, end) of a rank-2 tensor. */
 Tensor sliceRows(const Tensor &a, int64_t begin, int64_t end);
 

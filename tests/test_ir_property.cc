@@ -426,22 +426,55 @@ TEST(KindParity, GradientLoopsKeepTheirRecords)
                  {"mul_rowvec", 1.0, 2.0}, n);
     expectRecord(recordOf([&] { ops::mulRows(g, v, "mul_rowvec_bwd"); }),
                  {"mul_rowvec_bwd", 1.0, 2.0}, n);
+    // slice_cols_bwd moves 2× the gradient's bytes, row_sum_bwd 2× its
+    // broadcast output's, and neither counts FLOPs.
+    const int64_t full_cols = cols + 5;
+    expectRecord(recordOf([&] { ops::sliceColsGrad(g, full_cols, 3); }),
+                 {"slice_cols_bwd", 0.0, 2.0}, n);
+    const Tensor per_row = specialTensor(rows, 1);
+    expectRecord(recordOf([&] { ops::sumColsGrad(per_row, cols); }),
+                 {"row_sum_bwd", 0.0, 2.0}, n);
     EXPECT_TRUE(kernelRegistered("elu_bwd"));
     EXPECT_TRUE(kernelRegistered("mul_rowvec_bwd"));
+    EXPECT_TRUE(kernelRegistered("slice_cols_bwd"));
+    EXPECT_TRUE(kernelRegistered("row_sum_bwd"));
 
     // The pooled loops match their serial selves at every width.
-    Tensor serial_elu, serial_rows;
+    Tensor serial_elu, serial_rows, serial_slice, serial_sum;
     for (int threads : kThreads) {
         par::ThreadScope width(threads);
         const Tensor elu = ops::eluGrad(g, x, y, 0.7f);
         const Tensor rowvec = ops::mulRows(x, v, "mul_rowvec");
+        const Tensor slice = ops::sliceColsGrad(g, full_cols, 3);
+        const Tensor sum = ops::sumColsGrad(per_row, cols);
         if (threads == 1) {
             serial_elu = elu;
             serial_rows = rowvec;
+            serial_slice = slice;
+            serial_sum = sum;
         }
         EXPECT_TRUE(sameBytes(serial_elu, elu));
         EXPECT_TRUE(sameBytes(serial_rows, rowvec));
+        EXPECT_TRUE(sameBytes(serial_slice, slice));
+        EXPECT_TRUE(sameBytes(serial_sum, sum));
     }
+
+    // Both are copies: every byte lands where the slice or the
+    // broadcast puts it, and the rest of the sliced gradient is +0.
+    for (int64_t i = 0; i < rows; ++i)
+        for (int64_t j = 0; j < full_cols; ++j) {
+            const float want = j >= 3 && j < 3 + cols ? g.at(i, j - 3) : 0.0f;
+            const float got = serial_slice.at(i, j);
+            ASSERT_EQ(std::memcmp(&want, &got, sizeof(float)), 0)
+                << i << "," << j;
+        }
+    for (int64_t i = 0; i < rows; ++i)
+        for (int64_t j = 0; j < cols; ++j) {
+            const float want = per_row.at(i);
+            const float got = serial_sum.at(i, j);
+            ASSERT_EQ(std::memcmp(&want, &got, sizeof(float)), 0)
+                << i << "," << j;
+        }
 }
 
 // ----- random op DAGs -------------------------------------------------------

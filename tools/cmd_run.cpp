@@ -27,6 +27,7 @@
 #include "obs/stats.hh"
 #include "obs/stats_export.hh"
 #include "parallel/thread_pool.hh"
+#include "tensor/matmul.hh"
 
 #include "gnnperf.hh"
 
@@ -185,6 +186,10 @@ runBody(const Args &args)
     // Counter profiling starts before the dataset too, so warm-up
     // faults land in the aggregates rather than the first kernel.
     hwprof::configure(args.text("hwprof"));
+    // Every measured time below came from this kernel path.
+    std::printf("gnnperf run: %s %s, %d threads, gemm %s\n", label.c_str(),
+                args.text("model", "GCN").c_str(),
+                par::ThreadPool::instance().numThreads(), ops::gemmIsa());
 
     if (node) {
         const NodeDataset ds =
