@@ -1,6 +1,8 @@
 #include "common/random.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -155,6 +157,40 @@ Rng
 Rng::fork()
 {
     return Rng(next());
+}
+
+PrefixSampler::PrefixSampler(std::vector<double> weights)
+    : weights_(std::move(weights)), prefix_(weights_.size()), stale_(0)
+{
+    gnnperf_assert(!weights_.empty(), "categorical: empty weights");
+    for (double w : weights_)
+        gnnperf_assert(w >= 0.0, "categorical: negative weight");
+}
+
+void
+PrefixSampler::add(std::size_t i, double delta)
+{
+    gnnperf_assert(i < weights_.size(), "PrefixSampler: index ", i,
+                   " out of ", weights_.size());
+    weights_[i] += delta;
+    gnnperf_assert(weights_[i] >= 0.0, "categorical: negative weight");
+    stale_ = std::min(stale_, i);
+}
+
+std::size_t
+PrefixSampler::draw(Rng &rng)
+{
+    double acc = stale_ == 0 ? 0.0 : prefix_[stale_ - 1];
+    for (std::size_t i = stale_; i < weights_.size(); ++i) {
+        acc += weights_[i];
+        prefix_[i] = acc;
+    }
+    stale_ = weights_.size();
+    gnnperf_assert(prefix_.back() > 0.0, "categorical: all-zero weights");
+    const double r = rng.uniform() * prefix_.back();
+    const auto it = std::upper_bound(prefix_.begin(), prefix_.end(), r);
+    return std::min(static_cast<std::size_t>(it - prefix_.begin()),
+                    weights_.size() - 1);
 }
 
 } // namespace gnnperf

@@ -82,6 +82,40 @@ class Rng
     double cachedNormal_ = 0.0;
 };
 
+/**
+ * Rng::categorical over weights that grow between draws, without a
+ * full scan per draw. It keeps the running sums in the order
+ * categorical adds the weights, so each sum is the same double
+ * categorical's scan reaches, and the last is its total. A draw is the
+ * first index whose running sum exceeds uniform() · total (clamped to
+ * the last index, as categorical falls through), found by binary
+ * search: bit for bit the index categorical returns for the same Rng
+ * state. An update re-sums only from the lowest changed index, at the
+ * next draw.
+ */
+class PrefixSampler
+{
+  public:
+    /** @pre weights non-empty and all non-negative. */
+    explicit PrefixSampler(std::vector<double> weights);
+
+    /** Add `delta` to weight i. @pre the weight stays non-negative. */
+    void add(std::size_t i, double delta);
+
+    /**
+     * Draw as `rng.categorical(weights())` would.
+     * @pre at least one weight positive.
+     */
+    std::size_t draw(Rng &rng);
+
+    const std::vector<double> &weights() const { return weights_; }
+
+  private:
+    std::vector<double> weights_;
+    std::vector<double> prefix_;
+    std::size_t stale_;  ///< prefix_[i] is current for i < stale_
+};
+
 } // namespace gnnperf
 
 #endif // GNNPERF_COMMON_RANDOM_HH

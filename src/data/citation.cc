@@ -44,16 +44,15 @@ makeCitation(const CitationConfig &cfg)
     // Edges: degree-biased source, homophilous destination. A small
     // seen-set avoids duplicate pairs without changing the degree
     // distribution materially.
-    std::vector<double> degree_bias(
-        static_cast<std::size_t>(cfg.numNodes), 1.0);
+    PrefixSampler degree_bias(std::vector<double>(
+        static_cast<std::size_t>(cfg.numNodes), 1.0));
     std::set<std::pair<int64_t, int64_t>> seen;
     int64_t added = 0;
     int64_t attempts = 0;
     const int64_t max_attempts = cfg.numUndirectedEdges * 20;
     while (added < cfg.numUndirectedEdges &&
            attempts++ < max_attempts) {
-        const int64_t u = static_cast<int64_t>(
-            rng.categorical(degree_bias));
+        const int64_t u = static_cast<int64_t>(degree_bias.draw(rng));
         int64_t v;
         const auto cls = static_cast<std::size_t>(
             g.nodeLabels[static_cast<std::size_t>(u)]);
@@ -70,8 +69,8 @@ makeCitation(const CitationConfig &cfg)
         if (!seen.insert({key.first, key.second}).second)
             continue;
         g.addUndirectedEdge(u, v);
-        degree_bias[static_cast<std::size_t>(u)] += 0.6;
-        degree_bias[static_cast<std::size_t>(v)] += 0.6;
+        degree_bias.add(static_cast<std::size_t>(u), 0.6);
+        degree_bias.add(static_cast<std::size_t>(v), 0.6);
         ++added;
     }
     gnnperf_assert(added > cfg.numUndirectedEdges / 2,

@@ -1,5 +1,7 @@
 #include "graph/segment.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "device/profiler.hh"
 #include "obs/stats.hh"
@@ -26,15 +28,16 @@ segmentReduce(const Tensor &x, const std::vector<int64_t> &ptr,
     calls.inc();
     segments.inc(static_cast<uint64_t>(b));
     const int64_t f = x.dim(1);
-    Tensor out = Tensor::zeros({b, f}, x.device());
+    Tensor out({b, f}, x.device());
     const float *px = x.data();
     float *po = out.data();
-    // Segment-parallel: each graph owns its output row. Graph sizes in
-    // a batch are power-law skewed, so a small grain leaves room for
-    // stealing.
+    // Segment-parallel: each graph owns its output row, which its chunk
+    // zeroes before accumulating. Graph sizes in a batch are power-law
+    // skewed, so a small grain leaves room for stealing.
     par::parallelFor(
         "par.segment_reduce", 0, b, 16,
         [&](int64_t gb, int64_t ge, int) {
+            std::fill(po + gb * f, po + ge * f, 0.0f);
             for (int64_t g = gb; g < ge; ++g) {
                 float *dst = po + g * f;
                 const int64_t begin = ptr[static_cast<std::size_t>(g)];

@@ -1,5 +1,6 @@
 #include "graph/spmm.hh"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/logging.hh"
@@ -37,13 +38,15 @@ spmmCopyUSum(const CsrIndex &in_index, const Tensor &x)
     gnnperf_assert(x.rank() == 2, "spmmCopyUSum on rank ", x.rank());
     const int64_t n = in_index.numNodes();
     const int64_t f = x.dim(1);
-    Tensor out = Tensor::zeros({n, f}, x.device());
+    Tensor out({n, f}, x.device());
     const float *px = x.data();
     float *po = out.data();
     // Row-parallel: each destination node owns its output row and its
-    // CSR neighbour order, so any thread count is byte-identical.
+    // CSR neighbour order, so any thread count is byte-identical. The
+    // output starts uninitialised; a chunk zeroes its own rows.
     par::parallelFor(
         "par.spmm_sum", 0, n, 32, [&](int64_t vb, int64_t ve, int) {
+            std::fill(po + vb * f, po + ve * f, 0.0f);
             for (int64_t v = vb; v < ve; ++v) {
                 float *dst = po + v * f;
                 for (int64_t k = in_index.ptr[v]; k < in_index.ptr[v + 1];
@@ -66,11 +69,12 @@ spmmCopyUMean(const CsrIndex &in_index, const Tensor &x)
     gnnperf_assert(x.rank() == 2, "spmmCopyUMean on rank ", x.rank());
     const int64_t n = in_index.numNodes();
     const int64_t f = x.dim(1);
-    Tensor out = Tensor::zeros({n, f}, x.device());
+    Tensor out({n, f}, x.device());
     const float *px = x.data();
     float *po = out.data();
     par::parallelFor(
         "par.spmm_mean", 0, n, 32, [&](int64_t vb, int64_t ve, int) {
+            std::fill(po + vb * f, po + ve * f, 0.0f);
             for (int64_t v = vb; v < ve; ++v) {
                 float *dst = po + v * f;
                 const int64_t begin = in_index.ptr[v],
@@ -101,7 +105,7 @@ spmmCopyUMax(const CsrIndex &in_index, const Tensor &x,
     gnnperf_assert(x.rank() == 2, "spmmCopyUMax on rank ", x.rank());
     const int64_t n = in_index.numNodes();
     const int64_t f = x.dim(1);
-    Tensor out = Tensor::zeros({n, f}, x.device());
+    Tensor out({n, f}, x.device());
     arg_src.assign(static_cast<std::size_t>(n * f), -1);
     const float *px = x.data();
     float *po = out.data();
@@ -113,10 +117,12 @@ spmmCopyUMax(const CsrIndex &in_index, const Tensor &x,
                 int64_t *arg = parg + v * f;
                 const int64_t begin = in_index.ptr[v],
                               end = in_index.ptr[v + 1];
-                if (begin == end)
-                    continue;
+                // An isolated node's row is 0; the others start at -inf.
+                const float init =
+                    begin == end ? 0.0f
+                                 : -std::numeric_limits<float>::infinity();
                 for (int64_t j = 0; j < f; ++j)
-                    dst[j] = -std::numeric_limits<float>::infinity();
+                    dst[j] = init;
                 for (int64_t k = begin; k < end; ++k) {
                     const int64_t u =
                         in_index.neighbor[static_cast<std::size_t>(k)];
@@ -178,12 +184,13 @@ spmmUMulESum(const CsrIndex &in_index, const Tensor &x, const Tensor &w,
     const int64_t n = in_index.numNodes();
     const int64_t f = x.dim(1);
     const int64_t d = f / heads;
-    Tensor out = Tensor::zeros({n, f}, x.device());
+    Tensor out({n, f}, x.device());
     const float *px = x.data();
     const float *pw = w.data();
     float *po = out.data();
     par::parallelFor(
         "par.spmm_u_mul_e", 0, n, 32, [&](int64_t vb, int64_t ve, int) {
+            std::fill(po + vb * f, po + ve * f, 0.0f);
             for (int64_t v = vb; v < ve; ++v) {
                 float *dst = po + v * f;
                 for (int64_t k = in_index.ptr[v]; k < in_index.ptr[v + 1];

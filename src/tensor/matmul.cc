@@ -38,9 +38,9 @@ recordGemm(const char *name, int64_t n, int64_t k, int64_t m)
 
 // ----- scalar reference ----------------------------------------------------
 //
-// The historical loops, unchanged: the numerics every SIMD path must
-// reproduce byte for byte, and the dispatched path on hosts without
-// AVX2.
+// The historical loops: the numerics every SIMD path must reproduce
+// byte for byte, and the dispatched path on hosts without AVX2. C
+// arrives uninitialised; a chunk zeroes the rows it accumulates into.
 
 void
 scalarNN(const float *pa, const float *pb, float *pc, int64_t n,
@@ -50,6 +50,7 @@ scalarNN(const float *pa, const float *pb, float *pc, int64_t n,
     // the same kk order as the serial loop.
     par::parallelFor(
         "par.sgemm", 0, n, 16, [&](int64_t ib, int64_t ie, int) {
+            std::fill(pc + ib * m, pc + ie * m, 0.0f);
             for (int64_t i = ib; i < ie; ++i) {
                 float *crow = pc + i * m;
                 for (int64_t kk = 0; kk < k; ++kk) {
@@ -73,6 +74,7 @@ scalarTN(const float *pa, const float *pb, float *pc, int64_t n,
     par::parallelFor(
         "par.sgemm_tn", 0, k, par::grainFor(k, 1),
         [&](int64_t kb, int64_t ke, int) {
+            std::fill(pc + kb * m, pc + ke * m, 0.0f);
             for (int64_t i = 0; i < n; ++i) {
                 const float *arow = pa + i * k;
                 const float *brow = pb + i * m;
@@ -202,6 +204,7 @@ struct Simd
     {
         _mm512_mask_storeu_ps(p, t, v);
     }
+    static Vec zero() { return _mm512_setzero_ps(); }
     static Vec set1(float x) { return _mm512_set1_ps(x); }
     static Vec mul(Vec x, Vec y) { return _mm512_mul_ps(x, y); }
     static Vec add(Vec x, Vec y) { return _mm512_add_ps(x, y); }
@@ -259,6 +262,7 @@ struct Simd
     {
         _mm256_maskstore_ps(p, t, v);
     }
+    static Vec zero() { return _mm256_setzero_ps(); }
     static Vec set1(float x) { return _mm256_set1_ps(x); }
     static Vec mul(Vec x, Vec y) { return _mm256_mul_ps(x, y); }
     static Vec add(Vec x, Vec y) { return _mm256_add_ps(x, y); }
@@ -410,7 +414,7 @@ gemm(GemmOp op, const Tensor &a, const Tensor &b, GemmIsa isa,
                              a.dim(1) == b.dim(0),
                          "matmul: ", a.describe(), " x ", b.describe());
           const int64_t n = a.dim(0), k = a.dim(1), m = b.dim(1);
-          Tensor c = Tensor::zeros({n, m}, a.device());
+          Tensor c({n, m}, a.device());
           if (isa == GemmIsa::Scalar)
               scalarNN(pa, pb, c.data(), n, k, m);
           else
@@ -426,7 +430,7 @@ gemm(GemmOp op, const Tensor &a, const Tensor &b, GemmIsa isa,
                          "matmulTransA: ",
                          a.describe(), "^T x ", b.describe());
           const int64_t n = a.dim(0), k = a.dim(1), m = b.dim(1);
-          Tensor c = Tensor::zeros({k, m}, a.device());
+          Tensor c({k, m}, a.device());
           if (isa == GemmIsa::Scalar)
               scalarTN(pa, pb, c.data(), n, k, m);
           else
@@ -442,7 +446,7 @@ gemm(GemmOp op, const Tensor &a, const Tensor &b, GemmIsa isa,
                          "matmulTransB: ",
                          a.describe(), " x ", b.describe(), "^T");
           const int64_t n = a.dim(0), m = a.dim(1), k = b.dim(0);
-          Tensor c = Tensor::zeros({n, k}, a.device());
+          Tensor c({n, k}, a.device());
           if (isa == GemmIsa::Scalar) {
               scalarNT(pa, pb, c.data(), n, m, k);
           } else {

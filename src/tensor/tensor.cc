@@ -7,6 +7,7 @@
 #include "common/logging.hh"
 #include "device/allocator.hh"
 #include "device/profiler.hh"
+#include "parallel/thread_pool.hh"
 
 namespace gnnperf {
 
@@ -36,6 +37,12 @@ shapeNumel(const std::vector<int64_t> &shape)
     }
     return n;
 }
+
+/**
+ * Floats per chunk of a pooled fill or copy: 256 KiB, so a tensor
+ * smaller than that stays one inline call on the caller.
+ */
+constexpr int64_t kMoveGrain = int64_t{1} << 16;
 
 } // namespace
 
@@ -155,7 +162,14 @@ Tensor::clone() const
 {
     gnnperf_assert(defined(), "clone() on undefined tensor");
     Tensor t(shape_, device());
-    std::memcpy(t.data(), data(), bytes());
+    const float *src = data();
+    float *dst = t.data();
+    par::parallelFor("par.copy", 0, numel_, kMoveGrain,
+                     [&](int64_t b, int64_t e, int) {
+                         std::memcpy(dst + b, src + b,
+                                     static_cast<std::size_t>(e - b) *
+                                         sizeof(float));
+                     });
     return t;
 }
 
@@ -193,7 +207,11 @@ Tensor::reshape(std::vector<int64_t> shape) const
 void
 Tensor::fill(float value)
 {
-    std::fill(data(), data() + numel_, value);
+    float *p = data();
+    par::parallelFor("par.fill", 0, numel_, kMoveGrain,
+                     [&](int64_t b, int64_t e, int) {
+                         std::fill(p + b, p + e, value);
+                     });
 }
 
 std::vector<float>

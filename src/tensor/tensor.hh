@@ -100,7 +100,10 @@ class Tensor
     void set(int64_t i, float v);
     void set(int64_t i, int64_t j, float v);
 
-    /** Deep copy. */
+    /**
+     * Deep copy. Tensors above 64K floats copy in the pool (launch
+     * `par.copy`); smaller ones copy inline.
+     */
     Tensor clone() const;
 
     /**
@@ -113,7 +116,7 @@ class Tensor
     /** View with a new shape (same storage; numel must match). */
     Tensor reshape(std::vector<int64_t> shape) const;
 
-    /** Fill with a constant. */
+    /** Fill with a constant; pooled like clone (launch `par.fill`). */
     void fill(float value);
 
     /** Copy values out to a std::vector. */

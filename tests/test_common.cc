@@ -121,6 +121,46 @@ TEST(Rng, CategoricalRespectsWeights)
     EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.4);
 }
 
+TEST(Rng, PrefixSamplerDrawsAsCategorical)
+{
+    // Two generators in lockstep: one drives the sampler, the other
+    // categorical over the sampler's current weights. Weights start
+    // with zeros (inside and trailing) and grow by inexact steps, as
+    // the citation generator's degree bias does.
+    Rng updates(31);
+    for (uint64_t seed : {1u, 2u, 3u, 7u}) {
+        std::vector<double> w(97);
+        for (std::size_t i = 0; i < w.size(); ++i)
+            w[i] = i % 5 == 0 || i >= 90 ? 0.0 : 1.0 + 0.1 * (i % 7);
+        PrefixSampler sampler(w);
+        Rng a(seed), b(seed);
+        for (int step = 0; step < 2000; ++step) {
+            const std::size_t got = sampler.draw(a);
+            ASSERT_EQ(got, b.categorical(sampler.weights()))
+                << "seed " << seed << " step " << step;
+            ASSERT_GT(sampler.weights()[got], 0.0);
+            const auto i = static_cast<std::size_t>(
+                updates.uniformInt(static_cast<uint64_t>(w.size() - 5)));
+            sampler.add(i, step % 3 == 0 ? 0.6 : updates.uniform());
+            if (step % 7 == 0)
+                sampler.add(got, 0.0);
+        }
+    }
+}
+
+TEST(Rng, PrefixSamplerSingleAndLastPositive)
+{
+    // Only the last weight positive, then only the first: every draw
+    // lands there, as categorical's fall-through and first hit do.
+    PrefixSampler last({0.0, 0.0, 2.5});
+    PrefixSampler first({4.0, 0.0, 0.0});
+    Rng rng(5);
+    for (int i = 0; i < 100; ++i) {
+        EXPECT_EQ(last.draw(rng), 2u);
+        EXPECT_EQ(first.draw(rng), 0u);
+    }
+}
+
 TEST(Rng, ShuffleIsPermutation)
 {
     Rng rng(29);

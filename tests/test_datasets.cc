@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "data/citation.hh"
@@ -103,6 +104,48 @@ TEST(Citation, PubMedShape)
     EXPECT_EQ(info.numFeatures, 500);
     EXPECT_EQ(info.numClasses, 3);
     EXPECT_EQ(Graph::maskIndices(pm.graph.trainMask).size(), 60u);
+}
+
+namespace {
+
+/** FNV-1a over raw bytes, folded into `h`. */
+uint64_t
+fnv1a(uint64_t h, const void *data, std::size_t bytes)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+        h ^= p[i];
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+template <typename T>
+uint64_t
+fnv1a(uint64_t h, const std::vector<T> &v)
+{
+    return fnv1a(h, v.data(), v.size() * sizeof(T));
+}
+
+} // namespace
+
+TEST(Citation, PubMedIsUnchanged)
+{
+    // Every edge, label, split mask and feature of the PubMed-shaped
+    // graph at seed 7, as the per-draw scan of Rng::categorical built
+    // it. The prefix-sum edge sampler must reproduce it exactly.
+    NodeDataset pm = makePubMed(7);
+    const Graph &g = pm.graph;
+    uint64_t h = 0xcbf29ce484222325ull;
+    h = fnv1a(h, g.edgeSrc);
+    h = fnv1a(h, g.edgeDst);
+    h = fnv1a(h, g.nodeLabels);
+    h = fnv1a(h, g.trainMask);
+    h = fnv1a(h, g.valMask);
+    h = fnv1a(h, g.testMask);
+    h = fnv1a(h, g.x.data(), g.x.bytes());
+    EXPECT_EQ(g.edgeSrc.size(), 88676u);
+    EXPECT_EQ(h, 2837461011623284589ull);
 }
 
 TEST(TuDataset, EnzymesShape)

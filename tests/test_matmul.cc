@@ -17,6 +17,7 @@
 #include "common/random.hh"
 #include "device/profiler.hh"
 #include "parallel/thread_pool.hh"
+#include "recycled_block.hh"
 #include "tensor/init.hh"
 #include "tensor/matmul.hh"
 #include "tensor/ops.hh"
@@ -313,6 +314,56 @@ TEST(GemmParity, ScalarReferenceIsThreadInvariant)
             serial = c;
         EXPECT_TRUE(sameBytes(serial, c));
     }
+}
+
+TEST(GemmParity, EveryOutputElementIsWritten)
+{
+    // The products allocate C uninitialised. Each runs into a recycled
+    // block still holding a NaN (bits 0x7FC00000, unlike the 0xFFC00000
+    // NaNs the operands produce) and must give the bytes the scalar
+    // reference gives over a zero-filled block. Shapes are rows ×
+    // depth × cols: empty depth, rows and columns, tile tails, and a
+    // depth over one 256-deep pass.
+    using testing_util::RecycledBlock;
+    const float marker = std::numeric_limits<float>::quiet_NaN();
+    const int64_t shapes[][3] = {{17, 0, 33}, {0, 9, 16}, {16, 9, 0},
+                                 {0, 0, 0},   {1, 1, 1},  {5, 97, 17},
+                                 {33, 16, 95}, {9, 300, 40}};
+    uint64_t seed = 1;
+    for (GemmOp op : kOps)
+        for (const auto &shape : shapes) {
+            const int64_t rows = shape[0], depth = shape[1],
+                          cols = shape[2];
+            const Operands in =
+                makeOperands(op, rows, depth, cols, Fill::Relu, seed++);
+            Tensor ref;
+            {
+                par::ThreadScope width(1);
+                RecycledBlock zeros(rows * cols, 0.0f);
+                ref = ops::detail::gemm(op, in.a, in.b, GemmIsa::Scalar,
+                                        GemmRoute::Auto);
+                ASSERT_EQ(ref.data(), zeros.address());
+            }
+            for (GemmIsa isa :
+                 {GemmIsa::Scalar, GemmIsa::Avx2, GemmIsa::Avx512}) {
+                if (!ops::detail::gemmIsaSupported(isa))
+                    continue;
+                for (int threads : kParityThreads)
+                    for (GemmRoute route : kRoutes) {
+                        par::ThreadScope width(threads);
+                        RecycledBlock block(rows * cols, marker);
+                        const Tensor c =
+                            ops::detail::gemm(op, in.a, in.b, isa, route);
+                        ASSERT_EQ(c.data(), block.address());
+                        ASSERT_TRUE(sameBytes(c, ref))
+                            << ops::detail::gemmIsaName(isa) << " "
+                            << opName(op) << " rows=" << rows
+                            << " depth=" << depth << " cols=" << cols
+                            << " threads=" << threads
+                            << " route=" << static_cast<int>(route);
+                    }
+            }
+        }
 }
 
 TEST(GemmParity, DispatchedIsaIsNamed)

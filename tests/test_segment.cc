@@ -5,7 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
+#include "common/random.hh"
 #include "graph/segment.hh"
+#include "parallel/thread_pool.hh"
+#include "recycled_block.hh"
+#include "tensor/init.hh"
 #include "tensor/ops.hh"
 
 using namespace gnnperf;
@@ -35,6 +42,43 @@ TEST(Segment, EmptySegmentsAreZero)
     EXPECT_FLOAT_EQ(out.at(0, 0), 0.0f);
     EXPECT_FLOAT_EQ(out.at(1, 0), 1.0f);
     EXPECT_FLOAT_EQ(out.at(2, 0), 0.0f);
+}
+
+TEST(Segment, EveryOutputRowIsWritten)
+{
+    // segmentSum/Mean allocate their output uninitialised and each
+    // pooled chunk zeroes its own rows. Both run into a recycled NaN
+    // block at 1 and 4 threads and must give the bytes of a serial run
+    // over a zero-filled block; every third segment is empty.
+    using testing_util::RecycledBlock;
+    const int64_t b = 120, f = 6;
+    std::vector<int64_t> ptr{0};
+    for (int64_t g = 0; g < b; ++g)
+        ptr.push_back(ptr.back() + (g % 3 == 0 ? 0 : 1 + g % 5));
+    Rng rng(43);
+    const Tensor x = init::normal({ptr.back(), f}, 0.0f, 1.0f, rng);
+    for (bool mean : {false, true}) {
+        const auto run = [&] {
+            return mean ? segmentMean(x, ptr) : segmentSum(x, ptr);
+        };
+        Tensor ref;
+        {
+            par::ThreadScope width(1);
+            RecycledBlock zeros(b * f, 0.0f);
+            ref = run();
+            ASSERT_EQ(ref.data(), zeros.address());
+        }
+        for (int threads : {1, 4}) {
+            par::ThreadScope width(threads);
+            RecycledBlock block(b * f,
+                                std::numeric_limits<float>::quiet_NaN());
+            const Tensor out = run();
+            ASSERT_EQ(out.data(), block.address());
+            EXPECT_EQ(std::memcmp(out.data(), ref.data(), ref.bytes()), 0)
+                << (mean ? "mean" : "sum") << " at " << threads
+                << " threads";
+        }
+    }
 }
 
 TEST(Segment, MeanBackwardBroadcastsScaled)

@@ -7,10 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
+#include <limits>
+
 #include "common/random.hh"
 #include "graph/graph.hh"
 #include "graph/scatter.hh"
 #include "graph/spmm.hh"
+#include "parallel/thread_pool.hh"
+#include "recycled_block.hh"
 #include "tensor/init.hh"
 #include "tensor/ops.hh"
 
@@ -153,6 +159,63 @@ TEST(Spmm, TransposedBackwardIdentity)
         rhs += static_cast<double>(aty.at(i)) * f.x.at(i);
     }
     EXPECT_NEAR(lhs, rhs, 1e-3);
+}
+
+TEST(Spmm, EveryOutputRowIsWritten)
+{
+    // The aggregations allocate their output uninitialised and each
+    // pooled chunk zeroes its own rows. Each kernel runs into a
+    // recycled NaN block at 1 and 4 threads and must give the bytes of
+    // a serial run over a zero-filled block; nodes 0 mod 7 have no
+    // in-edges, so their rows are written only by that zeroing.
+    using testing_util::RecycledBlock;
+    const int64_t n = 300, f = 8, heads = 2;
+    Rng rng(41);
+    std::vector<int64_t> src, dst;
+    for (int e = 0; e < 1200; ++e) {
+        const int64_t v = rng.uniformInt(int64_t{0}, n - 1);
+        const int64_t u = rng.uniformInt(int64_t{0}, n - 1);
+        if (v % 7 != 0) {
+            src.push_back(u);
+            dst.push_back(v);
+        }
+    }
+    const CsrIndex in = buildInIndex(n, src, dst);
+    const Tensor x = init::normal({n, f}, 0.0f, 1.0f, rng);
+    const Tensor w = init::normal({static_cast<int64_t>(src.size()), heads},
+                                  0.0f, 1.0f, rng);
+    std::vector<int64_t> arg;
+    const struct
+    {
+        const char *name;
+        std::function<Tensor()> run;
+    } kernels[] = {
+        {"copy_u_sum", [&] { return spmmCopyUSum(in, x); }},
+        {"copy_u_mean", [&] { return spmmCopyUMean(in, x); }},
+        {"copy_u_max", [&] { return spmmCopyUMax(in, x, arg); }},
+        {"u_mul_e_sum", [&] { return spmmUMulESum(in, x, w, heads); }},
+    };
+    for (const auto &k : kernels) {
+        Tensor ref;
+        {
+            par::ThreadScope width(1);
+            RecycledBlock zeros(n * f, 0.0f);
+            ref = k.run();
+            ASSERT_EQ(ref.data(), zeros.address()) << k.name;
+        }
+        for (int64_t v = 0; v < n; v += 7)
+            for (int64_t j = 0; j < f; ++j)
+                ASSERT_EQ(ref.at(v, j), 0.0f) << k.name;
+        for (int threads : {1, 4}) {
+            par::ThreadScope width(threads);
+            RecycledBlock block(n * f,
+                                std::numeric_limits<float>::quiet_NaN());
+            const Tensor out = k.run();
+            ASSERT_EQ(out.data(), block.address()) << k.name;
+            EXPECT_EQ(std::memcmp(out.data(), ref.data(), ref.bytes()), 0)
+                << k.name << " at " << threads << " threads";
+        }
+    }
 }
 
 TEST(Sddmm, DotUVMatchesManual)

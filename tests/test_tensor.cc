@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "device/allocator.hh"
 #include "device/device.hh"
+#include "obs/stats.hh"
+#include "parallel/thread_pool.hh"
 #include "tensor/ops.hh"
 #include "tensor/tensor.hh"
 
@@ -62,6 +65,35 @@ TEST(Tensor, CloneIsDeep)
     b.set(0, 5.0f);
     EXPECT_EQ(a.at(0), 1.0f);
     EXPECT_EQ(b.at(0), 5.0f);
+}
+
+TEST(Tensor, LargeFillAndCloneRunInThePool)
+{
+    // Above 64K floats fill and clone are one pooled launch each
+    // (par.fill, par.copy); the odd size leaves a partial last chunk.
+    par::ThreadScope width(4);
+    const bool sampling = stats::samplingEnabled();
+    stats::setSamplingEnabled(true);
+    stats::Counter &launches = stats::counter("parallel.launches");
+    const uint64_t before = launches.value();
+    Tensor t({300001});
+    t.fill(2.5f);
+    for (int64_t i = 0; i < t.numel(); ++i)
+        ASSERT_EQ(t.at(i), 2.5f) << "at " << i;
+    for (int64_t i = 0; i < t.numel(); i += 4099)
+        t.set(i, static_cast<float>(i));
+    Tensor c = t.clone();
+    EXPECT_NE(c.data(), t.data());
+    EXPECT_EQ(std::memcmp(c.data(), t.data(), t.bytes()), 0);
+    EXPECT_EQ(launches.value() - before, 2u);
+
+    // Below the grain both stay inline: no launch.
+    Tensor small({1000});
+    small.fill(1.0f);
+    Tensor small_copy = small.clone();
+    EXPECT_EQ(small_copy.at(999), 1.0f);
+    EXPECT_EQ(launches.value() - before, 2u);
+    stats::setSamplingEnabled(sampling);
 }
 
 TEST(Tensor, ReshapeSharesStorage)
