@@ -18,10 +18,18 @@ Node::accumulateGrad(const Tensor &g)
                    "gradient shape ", g.describe(), " != value shape ",
                    value.describe(), " for op ", opName);
     if (!grad.defined()) {
-        grad = g.clone();
-    } else {
-        ops::addInPlace(grad, g);
+        // Adopt the first gradient: share its buffer rather than copy
+        // it, as PyTorch's AccumulateGrad steals the incoming tensor.
+        grad = g;
+        return;
     }
+    if (!grad.soleOwner()) {
+        // Copy on write: the buffer is still another holder's (the op
+        // that produced it, a sibling input, a view, the caller's
+        // seed), and an add in place would change their values too.
+        grad = grad.clone();
+    }
+    ops::addInPlace(grad, g);
 }
 
 Var::Var(Tensor value, bool requires_grad)

@@ -34,7 +34,7 @@ class Node
 {
   public:
     Tensor value;
-    Tensor grad;                 ///< lazily allocated on first use
+    Tensor grad;                 ///< the first gradient, adopted
     bool requiresGrad = false;
     const char *opName = "leaf";
     std::vector<NodePtr> inputs;
@@ -49,7 +49,12 @@ class Node
     /** Distributes `grad` to the inputs; empty for leaves. */
     std::function<void(Node &)> backwardFn;
 
-    /** grad += g, allocating a zero gradient on first accumulation. */
+    /**
+     * grad += g. The first gradient is adopted: `grad` shares g's
+     * buffer, no copy. A later one is added in place when this node
+     * is the buffer's only holder, else into a private copy first
+     * (copy on write), so no other holder's values ever change.
+     */
     void accumulateGrad(const Tensor &g);
 };
 

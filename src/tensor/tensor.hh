@@ -113,6 +113,12 @@ class Tensor
      */
     Tensor to(DeviceKind device) const;
 
+    /**
+     * True when no other tensor (a copy or a reshape view) shares this
+     * one's storage, so writing in place is invisible to others.
+     */
+    bool soleOwner() const { return storage_.use_count() == 1; }
+
     /** View with a new shape (same storage; numel must match). */
     Tensor reshape(std::vector<int64_t> shape) const;
 
